@@ -144,6 +144,13 @@ def _valuation_field(x):
     return "inf" if x.is_zero() else int(x.valuation)
 
 
+def _window_arg(pair, flag):
+    lo, hi = pair
+    if lo >= hi:
+        raise InvalidParams(f"{flag} must satisfy LO < HI, got {lo} {hi}")
+    return lo, hi
+
+
 def _cocycle_from_args(args):
     if args.prefix is not None:
         return CocycleSpec.from_prefix(args.p, args.prefix)
@@ -198,7 +205,7 @@ def _cmd_char(args):
 def _cmd_cocycle(args):
     spec = _cocycle_from_args(args)
     if args.laws is not None:
-        lo, hi = args.laws
+        lo, hi = _window_arg(args.laws, "--laws")
         report = check_cocycle_laws(spec, lo, hi)
         return report, bool(report["pass"])
     if args.x is None or args.y is None:
@@ -292,11 +299,11 @@ def _cmd_commutator(args):
 def _cmd_multiplier(args):
     m = _multiplier_arg(args.spec)
     if args.axioms is not None:
-        lo, hi = args.axioms
+        lo, hi = _window_arg(args.axioms, "--axioms")
         report = check_multiplier_axioms(m, lo, hi)
         return report, bool(report["pass"])
     if args.mackey is not None:
-        lo, hi = args.mackey
+        lo, hi = _window_arg(args.mackey, "--mackey")
         report = mackey_identity_check(m, lo, hi, method=args.method)
         return report, bool(report["pass"])
     if args.x is None or args.y is None:
@@ -320,9 +327,9 @@ def _cmd_multiplier(args):
 def _cmd_s_omega(args):
     m = _multiplier_arg(args.spec)
     if args.window is not None:
-        lo, hi = args.window
+        lo, hi = _window_arg(args.window, "--window")
         if args.witness_window is not None:
-            wlo, whi = args.witness_window
+            wlo, whi = _window_arg(args.witness_window, "--witness-window")
         else:
             wlo, whi = lo - 2 * m.s.max_shift, hi
         members = s_omega_window(m, (lo, hi), (wlo, whi))
@@ -458,7 +465,9 @@ def build_parser():
     p.add_argument("--spec", required=True, help="inline JSON or path: {cocycle, z}")
     _window_pair(p, "--axioms", "check (M1)/(M2) on W(LO, HI)")
     _window_pair(p, "--mackey", "check the obstruction identity on W(LO, HI)")
-    p.add_argument("--method", choices=["auto", "direct", "table"], default="auto")
+    p.add_argument("--method", choices=["auto", "direct", "table"], default="auto",
+                   help="how --mackey evaluates: auto means table; direct multiplies "
+                        "every pair and serves as the oracle")
     p.add_argument("x", nargs="?")
     p.add_argument("y", nargs="?")
     p.set_defaults(handler=_cmd_multiplier)

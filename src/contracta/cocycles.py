@@ -103,10 +103,16 @@ def eta(spec, x, y):
         raise MixedPrime(f"series over p={x.modulus.p}, cocycle over p={spec.p}")
     if x.modulus.n != 1:
         raise UnsupportedOperands("cocycles are defined over exponent-one coefficients only")
-    acc = laurent(x.modulus, {})
+    if spec.support and x.has_tail():
+        raise UnsupportedOperands("first pairing argument must be finitely supported")
+    # the sum of the shifted pairings, built as one coefficient map
+    acc = {}
     for n in spec.support:
-        acc = lau_add(acc, lau_shift(theta(2 * n, x, y), n))
-    return acc
+        for i, c in x.finite:
+            v = c * y.coeff(i + 2 * n)
+            if v:
+                acc[i + n] = acc.get(i + n, 0) + v
+    return laurent(x.modulus, acc)
 
 
 def _law_report(name, status, cx=None):

@@ -32,9 +32,13 @@ def chi_char(y, x):
         raise UnsupportedOperands("chi_char with tails on both sides is not supported")
     if x.is_zero() or y.is_zero():
         return torus_from_fraction(0, 0, x.modulus.p)
-    exponent = 0
-    for j in range(int(x.valuation), -int(y.valuation) + 1):
-        exponent += x.coeff(j) * y.coeff(-j)
+    if not x.has_tail():
+        # y vanishes below its valuation, so only x's explicit terms contribute
+        exponent = sum(c * y.coeff(-j) for j, c in x.finite)
+    else:
+        exponent = 0
+        for j in range(int(x.valuation), -int(y.valuation) + 1):
+            exponent += x.coeff(j) * y.coeff(-j)
     return torus_from_fraction(exponent, x.modulus.n, x.modulus.p)
 
 
@@ -146,13 +150,18 @@ def block_spec_from_json(obj):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise SchemaError("each block needs a 'kind'")
         kind = entry["kind"]
-        if kind == "T":
-            blocks.append(TBlock(int(entry["p"]), int(entry["n"]), int(entry.get("mult", 1))))
-        elif kind == "E":
-            g = poly_from_json({"p": entry["p"], "coeffs": entry["poly"]})
-            blocks.append(EBlock(int(entry["p"]), g, int(entry.get("mult", 1))))
-        else:
+        if kind not in ("T", "E"):
             raise SchemaError(f"unknown block kind {kind!r}")
+        try:
+            p, mult = int(entry["p"]), int(entry.get("mult", 1))
+            if kind == "T":
+                blocks.append(TBlock(p, int(entry["n"]), mult))
+            else:
+                blocks.append(EBlock(p, poly_from_json({"p": p, "coeffs": entry["poly"]}), mult))
+        except KeyError as exc:
+            raise SchemaError(f"{kind} block missing key {exc}") from None
+        except (TypeError, ValueError):
+            raise SchemaError(f"malformed {kind} block {entry!r}") from None
     return BlockSpec(tuple(blocks))
 
 

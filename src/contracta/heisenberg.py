@@ -81,14 +81,20 @@ def _same_shape(g, h):
 
 def heis_mul(g, h):
     _same_shape(g, h)
-    dot = lau_zero(g.modulus)
+    # coordinates are finitely supported, so the center g.z + h.z + xi . mu
+    # is summed as one coefficient map
+    z = dict(g.z.finite)
+    for i, c in h.z.finite:
+        z[i] = z.get(i, 0) + c
     for a, b in zip(g.xi, h.upsilon):
-        dot = lau_add(dot, lau_mul(a, b))
+        for i, c in a.finite:
+            for j, d in b.finite:
+                z[i + j] = z.get(i + j, 0) + c * d
     return HeisElem(
         g.dim,
         tuple(lau_add(a, b) for a, b in zip(g.xi, h.xi)),
         tuple(lau_add(a, b) for a, b in zip(g.upsilon, h.upsilon)),
-        lau_add(lau_add(g.z, h.z), dot),
+        laurent(g.modulus, z),
     )
 
 

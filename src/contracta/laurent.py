@@ -188,6 +188,12 @@ def lau_mul(x, y):
     _check_moduli(x, y)
     if x.tail is not None and y.tail is not None:
         raise UnsupportedOperands("product of two tailed series is not supported")
+    if x.tail is None and y.tail is None:
+        prod = {}
+        for i, c in x.finite:
+            for j, d in y.finite:
+                prod[i + j] = prod.get(i + j, 0) + c * d
+        return laurent(x.modulus, prod)
     if x.tail is not None:
         x, y = y, x
     acc = lau_zero(x.modulus)

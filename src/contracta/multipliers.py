@@ -12,6 +12,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import (
+    InvalidParams,
     MixedModulus,
     NonCharacterProfile,
     SchemaError,
@@ -33,6 +34,32 @@ from .laurent import (
 )
 from .scalars import Modulus, torus_from_fraction, torus_identity, torus_inv, torus_mul
 from .sweep import add_table, window_digits, window_elements, window_id
+
+
+# Largest window sweep a check accepts.  Evaluations count Python-level calls
+# (omega, eta, chi_z, ext_mul) at tens of microseconds apiece; table entries
+# count numpy array elements.  Every default suite spec stays below both with
+# room to spare.
+_MAX_EVALUATIONS = 100_000
+_MAX_TABLE_ENTRIES = 1 << 24
+# no window this wide fits either limit, whatever p is
+_MAX_WIDTH = 64
+
+
+def _window_size(p, lo, hi):
+    """The number of elements p^(hi - lo) of W(lo, hi), refusing widths whose
+    power alone would take long to form."""
+    if hi - lo > _MAX_WIDTH:
+        raise InvalidParams(f"window ({lo}, {hi}) is {hi - lo} slots wide; the limit is {_MAX_WIDTH}")
+    return p ** (hi - lo)
+
+
+def _check_work(what, evaluations, entries):
+    if evaluations > _MAX_EVALUATIONS or entries > _MAX_TABLE_ENTRIES:
+        raise InvalidParams(
+            f"{what} would take {evaluations} evaluations and {entries} table entries; "
+            f"the limits are {_MAX_EVALUATIONS} and {_MAX_TABLE_ENTRIES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -123,8 +150,9 @@ def check_multiplier_axioms(m, lo, hi):
     (M2): omega(x,0) = omega(0,x) = 1 on all elements.
     """
     p = m.s.p
+    size = _window_size(p, lo, hi)
+    _check_work("multiplier axioms", size ** 2, size ** 3)
     elems = window_elements(m.s.modulus, lo, hi)
-    size = len(elems)
     digits, powers = window_digits(p, lo, hi)
     add_id = add_table(digits, powers, p)
 
@@ -245,24 +273,30 @@ def mackey_identity_check(m, lo, hi, method="auto"):
 
         chi'(g) chi'(h) = conj(chi_z)(eta(q g, q h)) * chi'(g h)
 
-    where chi'(w, x) = chi_z(w) and q(w, x) = x.  Small windows multiply the
-    group elements directly; large windows run the same sweep through
-    exponent tables indexed over the (finitely) larger window that the
-    products land in.
+    where chi'(w, x) = chi_z(w) and q(w, x) = x.  The table method (what
+    "auto" runs) evaluates chi_z once per window element and eta once per
+    pair of x slots, then decides every pair from those exponents; the direct
+    method multiplies the group elements pair by pair and is kept as the
+    oracle the tests compare the table method against.
     """
     p = m.s.p
     mod = m.s.modulus
     spec = m.s
-    slots = window_elements(mod, lo, hi)
-    n_slot = len(slots)
-    total_pairs = n_slot ** 4
     if method == "auto":
-        method = "direct" if total_pairs <= 200_000 else "table"
+        method = "table"
+    if method not in ("direct", "table"):
+        raise ValueError(f"unknown method {method!r}")
+    n_slot = _window_size(p, lo, hi)
+    if method == "direct":
+        _check_work("mackey identity (direct)", n_slot ** 4, 0)
+    else:
+        _check_work("mackey identity", n_slot ** 2 + n_slot, n_slot ** 3)
+    slots = window_elements(mod, lo, hi)
 
     report = {
         "multiplier": m.describe(),
         "window": [lo, hi],
-        "pairs_checked": total_pairs,
+        "pairs_checked": n_slot ** 4,
         "method": method,
         "pass": True,
         "counterexample": None,
@@ -298,51 +332,38 @@ def mackey_identity_check(m, lo, hi, method="auto"):
                     return fail(g, h)
         return report
 
-    if method != "table":
-        raise ValueError(f"unknown method {method!r}")
-
-    # products land in W(lo, hi + max_shift); chi_z exponents over that window
-    ext_hi = hi + spec.max_shift
-    ext_elems = window_elements(mod, lo, ext_hi)
-    e_ext = np.array([_chi_exponent(m.z, w) for w in ext_elems], dtype=np.int64)
-    # the small window's ids coincide with its ids inside the larger window
-    e_win = e_ext[:n_slot]
-
-    eta_ids = np.zeros((n_slot, n_slot), dtype=np.int64)
-    x_exp = np.zeros((n_slot, n_slot), dtype=np.int64)
-    for i, x1 in enumerate(slots):
-        for j, x2 in enumerate(slots):
-            e = eta(spec, x1, x2)
-            eta_ids[i, j] = window_id(e, lo, ext_hi)
-            x_exp[i, j] = _chi_exponent(m.z, e)
-
+    # exponents stay below 2p through every sum formed here
+    dtype = np.min_scalar_type(2 * p)
+    e_win = np.array([_chi_exponent(m.z, w) for w in slots], dtype=dtype)
+    # eta(x1, x2) is supported in [lo + min S, hi - min S), so the w slot of
+    # every product, w1 + w2 + eta, lies in W(lo, hi) as well
+    eta_ids = np.array([window_id(eta(spec, x1, x2), lo, hi) for x1 in slots for x2 in slots],
+                       dtype=np.int64)
     digits, powers = window_digits(p, lo, hi)
-    dig_ext, pow_ext = window_digits(p, lo, ext_hi)
-    # ids of w1+w2 agree between the two windows (upper digits are zero)
-    sum_w = add_table(digits, powers, p).reshape(-1)          # (n_slot^2,)
-    lhs_exp = ((e_win[:, None] + e_win[None, :]) % p).reshape(-1, 1)
-    sum_w_digits = dig_ext[sum_w]                              # (n_slot^2, width_ext)
-
-    eta_flat = eta_ids.reshape(-1)
-    x_flat = x_exp.reshape(-1)
-    block = max(1, 500_000 // max(1, sum_w.shape[0]))
-    for start in range(0, eta_flat.shape[0], block):
-        stop = min(start + block, eta_flat.shape[0])
-        comb = ((sum_w_digits[:, None, :] + dig_ext[eta_flat[start:stop]][None, :, :]) % p) @ pow_ext
-        rhs_exp = (e_ext[comb] - x_flat[start:stop][None, :]) % p
-        bad = lhs_exp != rhs_exp
-        if bad.any():
-            wi, xi = (int(v) for v in np.argwhere(bad)[0])
-            w1, w2 = divmod(wi, n_slot)
-            x1, x2 = divmod(start + xi, n_slot)
-            return fail(ExtElem(spec, slots[w1], slots[x1]), ExtElem(spec, slots[w2], slots[x2]))
-    return report
+    add_id = add_table(digits, powers, p)                     # (n_slot, n_slot)
+    # rhs[s, e]: exponent of s + e minus exponent of e
+    rhs = (e_win[add_id] + (p - e_win)) % p
+    # bad[(w1, w2), e]: the identity fails for these w slots once eta = e
+    sum_w = add_id.reshape(-1)
+    lhs = ((e_win[:, None] + e_win[None, :]) % p).reshape(-1, 1)
+    bad = rhs[sum_w] != lhs
+    hit = bad.any(axis=0)[eta_ids]                            # per (x1, x2)
+    if not hit.any():
+        return report
+    # the reported pair is the first failure in block order (x pairs in
+    # blocks, w pairs first within a block), which keeps reports stable
+    block = max(1, 500_000 // sum_w.shape[0])
+    start = int(np.argmax(hit)) // block * block
+    wi, xi = (int(v) for v in np.argwhere(bad[:, eta_ids[start:start + block]])[0])
+    w1, w2 = divmod(wi, n_slot)
+    x1, x2 = divmod(start + xi, n_slot)
+    return fail(ExtElem(spec, slots[w1], slots[x1]), ExtElem(spec, slots[w2], slots[x2]))
 
 
 @dataclass(frozen=True)
 class SOmegaReport:
     spec: MultiplierSpec
-    contains_from: int            # U_K with this K sits inside the radical
+    contains_from: int            # K: t^K lies outside the radical, which is {nu > K}
     witnesses: tuple              # (q, h_omega image) pairs, images independent
     verdict: str
 
@@ -381,8 +402,11 @@ def type_i_verdict(m, depth: int):
     NotTypeI_witnessed when at least depth/2 monomials have independent
     nonzero images (the quotient by the radical then exceeds any fixed
     finite size the search could confirm), Inconclusive otherwise.  The
-    positive direction (type I) is never claimed.
+    positive direction (type I) is never claimed.  A depth below 2 would let
+    an empty witness list reach the NotTypeI threshold, so it is refused.
     """
+    if depth < 2:
+        raise InvalidParams("depth must be >= 2")
     mod = m.s.modulus
     floor = -depth - 1
     if not m.s.support or m.z.is_zero():

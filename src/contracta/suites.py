@@ -112,6 +112,15 @@ def _window(value, name="window"):
     return lo, hi
 
 
+def _moduli(value, name):
+    """The moduli of a list of [p, n] pairs."""
+    try:
+        pairs = [(int(p), int(n)) for p, n in value]
+    except (TypeError, ValueError):
+        raise InvalidParams(f"{name} must be a list of [p, n] integer pairs") from None
+    return [Modulus(p, n) for p, n in pairs]
+
+
 def _check(name, config, checked, cx=None):
     return {
         "name": name,
@@ -154,8 +163,7 @@ def _suite_duality_iso(params):
     params = _merge(_DUALITY_DEFAULTS, params)
     lo, hi = _window(params["window"])
     checks = []
-    for p, n in params["configs"]:
-        mod = Modulus(int(p), int(n))
+    for mod in _moduli(params["configs"], "configs"):
         card = mod.card
         elems = window_elements(mod, lo, hi)
         size = len(elems)
@@ -261,8 +269,7 @@ def _suite_dual_action(params):
     k_lo, k_hi = _window(params["shift_range"], "shift_range")
     checks = []
 
-    for p, n in params["t_configs"]:
-        mod = Modulus(int(p), int(n))
+    for mod in _moduli(params["t_configs"], "t_configs"):
         # keep n = 2 windows small enough for an all-pairs direct sweep
         c_lo, c_hi = (lo, hi) if mod.n == 1 else (max(lo, -1), hi)
         elems = window_elements(mod, c_lo, c_hi)
@@ -293,10 +300,11 @@ def _suite_dual_action(params):
 def _contraction_sample_check(params):
     rng = np.random.default_rng(SEED + 1)
     jobs = []
-    configs = [tuple(c) for c in params["sample_configs"]]
-    per = int(params["samples"]) // len(configs)
-    for p, n in configs:
-        mod = Modulus(int(p), int(n))
+    moduli = _moduli(params["sample_configs"], "sample_configs")
+    if not moduli:
+        raise InvalidParams("sample_configs must be nonempty")
+    per = int(params["samples"]) // len(moduli)
+    for mod in moduli:
         draws = rng.integers(0, mod.card, size=(per, 6))
         ks = rng.integers(-4, 5, size=per)
         for row, k in zip(draws, ks):
@@ -778,8 +786,6 @@ def _suite_s_omega(params):
 def _suite_verdict(params):
     params = _merge(_VERDICT_DEFAULTS, params)
     depth = int(params["depth"])
-    if depth < 2:
-        raise InvalidParams("depth must be >= 2")
     configs = _radical_configs(params)
 
     def run(config):

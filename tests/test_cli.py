@@ -246,6 +246,30 @@ def test_parse_error_exits_two(capsys):
     assert "ParseError" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["s-omega", "--spec", Z0_SPEC, "--window", "3", "1"],
+    ["verdict", "--spec", '{"blocks":[{"kind":"T"}]}'],
+    ["verify", "duality-iso", "--params", '{"configs":[[2]]}'],
+    ["verify", "dual-action", "--params", '{"sample_configs":[]}'],
+    ["verdict", "--spec", Z0_SPEC, "--depth", "-5"],
+    ["verdict", "--spec", Z0_SPEC, "--depth", "0"],
+    ["s-omega", "--spec", Z0_SPEC, "--window", "-1", "2", "--witness-window", "0", "0"],
+    ["cocycle", "--p", "2", "--support", "1", "--laws", "2", "2"],
+    ["multiplier", "--spec", POLE_SPEC, "--axioms", "1", "0"],
+    ["multiplier", "--spec", POLE_SPEC, "--mackey", "2", "-1"],
+    ["multiplier", "--spec", POLE_SPEC, "--mackey", "-5", "4"],
+    ["multiplier", "--spec", POLE_SPEC, "--mackey", "0", "1000000000"],
+    ["multiplier", "--spec", POLE_SPEC, "--axioms", "-5", "4"],
+    ["verify", "mackey-identity", "--params", '{"window":[-3,3]}'],
+])
+def test_bad_input_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_spec_file_ingestion(capsys, tmp_path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(POLE_SPEC)

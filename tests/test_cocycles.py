@@ -13,6 +13,7 @@ from contracta import (
     eta,
     lau_add,
     lau_monomial,
+    lau_shift,
     laurent,
     theta,
 )
@@ -103,6 +104,21 @@ def test_eta_sums_over_support():
     # theta(2, 1, t^2) = 1 shifts to t; theta(4, 1, t^4) = 1 shifts to t^2
     y = lau_add(lau_monomial(M2, 2, 1), lau_monomial(M2, 4, 1))
     assert eta(spec, one, y) == laurent(M2, {1: 1, 2: 1})
+
+
+@given(finite_series(M3), finite_series(M3))
+def test_eta_is_the_sum_of_shifted_pairings(x, y):
+    spec = CocycleSpec(3, (1, 3))
+    want = lau_add(lau_shift(theta(2, x, y), 1), lau_shift(theta(6, x, y), 3))
+    assert eta(spec, x, y) == want
+
+
+def test_eta_rejects_tailed_first_argument():
+    geom = laurent(M2, {}, tail=(0, (1,)))
+    one = lau_monomial(M2, 0, 1)
+    with pytest.raises(UnsupportedOperands):
+        eta(CocycleSpec(2, (1,)), geom, one)
+    assert eta(CocycleSpec(2, ()), geom, one).is_zero()
 
 
 @given(finite_series(M3), finite_series(M3), finite_series(M3))

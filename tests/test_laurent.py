@@ -210,6 +210,16 @@ def test_mul_distributes(x, y, z):
     assert lhs == rhs
 
 
+@given(finite_series(M4), finite_series(M4))
+def test_finite_mul_is_the_convolution(x, y):
+    # coefficient k of x * y is sum_{i + j = k} x_i y_j mod p^n
+    conv = {}
+    for i, c in x.finite:
+        for j, d in y.finite:
+            conv[i + j] = conv.get(i + j, 0) + c * d
+    assert lau_mul(x, y) == laurent(M4, conv)
+
+
 @given(tailed_series(M2), finite_series(M2))
 def test_tailed_add_agrees_coefficientwise(x, y):
     z = lau_add(x, y)

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from contracta import (
     CocycleSpec,
+    ExtElem,
     Modulus,
     MultiplierSpec,
     check_multiplier_axioms,
+    eta,
+    ext_mul,
     h_omega,
     in_s_omega,
     lau_add,
@@ -22,12 +25,14 @@ from contracta import (
     omega2_closed_form,
     s_omega_window,
     tail_character_index,
+    text_to_series,
     torus_from_fraction,
     torus_inv,
     torus_mul,
     type_i_verdict,
 )
-from contracta.errors import WitnessWindowTooSmall
+from contracta import multipliers
+from contracta.errors import InvalidParams, WitnessWindowTooSmall
 
 M2 = Modulus(2, 1)
 M3 = Modulus(3, 1)
@@ -100,6 +105,96 @@ def test_mackey_identity_direct_and_table_agree():
     assert direct["pass"] is True
     assert table["pass"] is True
     assert direct["pairs_checked"] == table["pairs_checked"]
+
+
+# the default window W(-1, 3) at p=2, and a p=3 window as wide as the direct
+# method accepts, on which chi_z takes all three exponents
+@pytest.mark.parametrize("m, lo, hi", [(POLE, -1, 3), (THREE, 0, 2)])
+def test_mackey_identity_auto_is_table_and_matches_direct(m, lo, hi):
+    table = mackey_identity_check(m, lo, hi)
+    direct = mackey_identity_check(m, lo, hi, method="direct")
+    assert table["method"] == "table"
+    assert table["pass"] is True and table["pairs_checked"] == m.s.p ** (4 * (hi - lo))
+    assert direct == dict(table, method="direct")
+
+
+def test_mackey_identity_table_passes_p3_default_window():
+    # eta vanishes on windows two slots wide, so at p=3 the direct oracle never
+    # reaches a window where the eta term of the table method is exercised
+    rep = mackey_identity_check(THREE, -1, 3)
+    assert rep["method"] == "table"
+    assert rep["pass"] is True and rep["pairs_checked"] == 3 ** 16
+
+
+def _plant_fault(monkeypatch, m, target):
+    """Shift chi_z by one p-th turn at the single element `target`, which
+    makes it non-additive.  Both names are patched, the character that the
+    direct method multiplies and the exponent the table method reads, so
+    both methods see the same fault; returns the faulty exponent function."""
+    true_chi = multipliers.chi_char
+    turn = torus_from_fraction(1, 1, m.s.p)
+
+    def faulty_chi(z, w):
+        c = true_chi(z, w)
+        return torus_mul(c, turn) if w == target else c
+
+    def faulty_exponent(z, w):
+        e = multipliers._turn_exponent(true_chi(z, w))
+        return (e + 1) % m.s.p if w == target else e
+
+    monkeypatch.setattr(multipliers, "chi_char", faulty_chi)
+    monkeypatch.setattr(multipliers, "_chi_exponent", faulty_exponent)
+    return faulty_exponent
+
+
+def _ext_from_text(m, text):
+    w, x = text[1:-1].split(" | ")
+    return ExtElem(m.s, text_to_series(w), text_to_series(x))
+
+
+def _violates(m, exponent, g, h):
+    lhs = (exponent(m.z, g.w) + exponent(m.z, h.w)) % m.s.p
+    rhs = (exponent(m.z, ext_mul(g, h).w) - exponent(m.z, eta(m.s, g.x, h.x))) % m.s.p
+    return lhs != rhs
+
+
+# planted faults on W(-1, 3) and the pair the table method reports for each:
+# the first failure with x pairs swept in blocks, w pairs first within a block
+PLANTED = [
+    (POLE, "1*t^0 + 1*t^2 @ p=2^1",
+     "(0 @ p=2^1 | 1*t^-1 @ p=2^1)", "(1*t^2 @ p=2^1 | 1*t^1 @ p=2^1)"),
+    (THREE, "1*t^-1 + 1*t^0 + 1*t^1 @ p=3^1",
+     "(1*t^-1 @ p=3^1 | 0 @ p=3^1)", "(1*t^0 + 1*t^1 @ p=3^1 | 0 @ p=3^1)"),
+]
+
+
+@pytest.mark.parametrize("m, target, g, h", PLANTED)
+def test_mackey_identity_table_reports_planted_fault(monkeypatch, m, target, g, h):
+    exponent = _plant_fault(monkeypatch, m, text_to_series(target))
+    rep = mackey_identity_check(m, -1, 3)
+    assert rep["pass"] is False
+    cx = rep["counterexample"]
+    assert (cx["g"], cx["h"]) == (g, h)
+    assert cx["lhs"] != cx["rhs"]
+    assert _violates(m, exponent, _ext_from_text(m, g), _ext_from_text(m, h))
+
+
+def test_mackey_identity_direct_reports_planted_fault(monkeypatch):
+    m, target = PLANTED[0][:2]
+    exponent = _plant_fault(monkeypatch, m, text_to_series(target))
+    rep = mackey_identity_check(m, -1, 3, method="direct")
+    assert rep["pass"] is False
+    cx = rep["counterexample"]
+    assert _violates(m, exponent, _ext_from_text(m, cx["g"]), _ext_from_text(m, cx["h"]))
+
+
+def test_mackey_identity_refuses_oversized_sweeps():
+    with pytest.raises(InvalidParams, match="evaluations"):
+        mackey_identity_check(POLE, -5, 4)
+    with pytest.raises(InvalidParams, match="evaluations"):
+        mackey_identity_check(THREE, -1, 3, method="direct")
+    with pytest.raises(InvalidParams, match="slots wide"):
+        mackey_identity_check(POLE, 0, 10 ** 9)
 
 
 # ------------------------------------------------------------- the radical
@@ -177,6 +272,12 @@ def test_type_i_verdict_frozen():
     assert len(data["witnesses"]) == 13
     assert data["witnesses"][0] == {"q": 0, "h_image": "1*t^2 @ p=2^1"}
     assert data["witnesses"][1] == {"q": -1, "h_image": "1*t^3 @ p=2^1"}
+
+
+@pytest.mark.parametrize("depth", [-5, 0, 1])
+def test_type_i_verdict_refuses_depth_below_two(depth):
+    with pytest.raises(InvalidParams):
+        type_i_verdict(TAIL, depth)
 
 
 def test_verdict_witnesses_are_independent_nonmembers():
