@@ -6,7 +6,6 @@ pairings, with the n-th one translated by t^n.  Everything here lives over
 C_p (exponent-one coefficients): the pairing is only a cocycle there.
 """
 
-import numpy as np
 from dataclasses import dataclass
 
 from .errors import (
@@ -18,7 +17,7 @@ from .errors import (
 )
 from .laurent import laurent, lau_add, lau_shift, series_to_text
 from .scalars import Modulus, is_prime
-from .sweep import window_elements
+from .sweep import add_table, check_work, window_digits, window_elements, window_size
 
 
 @dataclass(frozen=True)
@@ -126,23 +125,19 @@ def check_cocycle_laws(spec, lo, hi):
     over every pair / triple from the window.  Returns a JSON-ready report with
     the first counterexample (in enumeration order) when a law fails.
     """
-    modulus = spec.modulus
-    p = spec.p
-    elems = window_elements(modulus, lo, hi)
-    size = len(elems)
-    width = hi - lo
+    import numpy as np
 
+    p = spec.p
+    size = window_size(p, lo, hi)
     # eta values on the window live inside [lo+1, hi-1+max_shift]
     e_lo = lo + 1
-    e_width = max(1, width + spec.max_shift - 1)
-
-    digits = np.zeros((size, width), dtype=np.int64)
-    for i in range(size):
-        code = i
-        for k in range(width):
-            code, digits[i, k] = divmod(code, p)
-    powers = p ** np.arange(width, dtype=np.int64)
-    add_id = ((digits[:, None, :] + digits[None, :, :]) % p) @ powers
+    e_width = max(1, hi - lo + spec.max_shift - 1)
+    # eta on every pair, twice until shift equivariance fails; the triple
+    # tables hold one eta value per (x, y, z)
+    check_work("cocycle laws", 2 * size ** 2, size ** 3 * e_width)
+    elems = window_elements(spec.modulus, lo, hi)
+    digits, powers = window_digits(p, lo, hi)
+    add_id = add_table(digits, powers, p)
 
     eta_tab = np.zeros((size, size, e_width), dtype=np.uint8)
     equiv_cx = None

@@ -8,7 +8,6 @@ windows.  The verdict machinery collects independent nontriviality witnesses
 and abstains when it cannot find enough.
 """
 
-import numpy as np
 from dataclasses import dataclass
 
 from .errors import (
@@ -33,33 +32,7 @@ from .laurent import (
     series_to_text,
 )
 from .scalars import Modulus, torus_from_fraction, torus_identity, torus_inv, torus_mul
-from .sweep import add_table, window_digits, window_elements, window_id
-
-
-# Largest window sweep a check accepts.  Evaluations count Python-level calls
-# (omega, eta, chi_z, ext_mul) at tens of microseconds apiece; table entries
-# count numpy array elements.  Every default suite spec stays below both with
-# room to spare.
-_MAX_EVALUATIONS = 100_000
-_MAX_TABLE_ENTRIES = 1 << 24
-# no window this wide fits either limit, whatever p is
-_MAX_WIDTH = 64
-
-
-def _window_size(p, lo, hi):
-    """The number of elements p^(hi - lo) of W(lo, hi), refusing widths whose
-    power alone would take long to form."""
-    if hi - lo > _MAX_WIDTH:
-        raise InvalidParams(f"window ({lo}, {hi}) is {hi - lo} slots wide; the limit is {_MAX_WIDTH}")
-    return p ** (hi - lo)
-
-
-def _check_work(what, evaluations, entries):
-    if evaluations > _MAX_EVALUATIONS or entries > _MAX_TABLE_ENTRIES:
-        raise InvalidParams(
-            f"{what} would take {evaluations} evaluations and {entries} table entries; "
-            f"the limits are {_MAX_EVALUATIONS} and {_MAX_TABLE_ENTRIES}"
-        )
+from .sweep import add_table, check_work, window_digits, window_elements, window_id, window_size
 
 
 @dataclass(frozen=True)
@@ -149,9 +122,11 @@ def check_multiplier_axioms(m, lo, hi):
     (M1): omega(x,y) omega(x+y,z) = omega(x,y+z) omega(y,z) on all triples.
     (M2): omega(x,0) = omega(0,x) = 1 on all elements.
     """
+    import numpy as np
+
     p = m.s.p
-    size = _window_size(p, lo, hi)
-    _check_work("multiplier axioms", size ** 2, size ** 3)
+    size = window_size(p, lo, hi)
+    check_work("multiplier axioms", size ** 2, size ** 3)
     elems = window_elements(m.s.modulus, lo, hi)
     digits, powers = window_digits(p, lo, hi)
     add_id = add_table(digits, powers, p)
@@ -243,6 +218,8 @@ def s_omega_window(m, window, witness_window):
     monomial, so a vanishing monomial row is equivalent to vanishing on the
     whole witness window); entries come from direct omega2 calls.
     """
+    import numpy as np
+
     lo, hi = window
     wlo, whi = witness_window
     mshift = m.s.max_shift
@@ -252,6 +229,9 @@ def s_omega_window(m, window, witness_window):
         )
     p = m.s.p
     mod = m.s.modulus
+    # omega2 on every monomial pair, then one digit row per window element
+    size = window_size(p, lo, hi)
+    check_work("radical window", (hi - lo) * (whi - wlo) + size, size * (whi - wlo))
     pair = np.zeros((hi - lo, whi - wlo), dtype=np.int64)
     for a in range(hi - lo):
         xm = lau_monomial(mod, lo + a, 1)
@@ -279,6 +259,8 @@ def mackey_identity_check(m, lo, hi, method="auto"):
     method multiplies the group elements pair by pair and is kept as the
     oracle the tests compare the table method against.
     """
+    import numpy as np
+
     p = m.s.p
     mod = m.s.modulus
     spec = m.s
@@ -286,11 +268,11 @@ def mackey_identity_check(m, lo, hi, method="auto"):
         method = "table"
     if method not in ("direct", "table"):
         raise ValueError(f"unknown method {method!r}")
-    n_slot = _window_size(p, lo, hi)
+    n_slot = window_size(p, lo, hi)
     if method == "direct":
-        _check_work("mackey identity (direct)", n_slot ** 4, 0)
+        check_work("mackey identity (direct)", n_slot ** 4, 0)
     else:
-        _check_work("mackey identity", n_slot ** 2 + n_slot, n_slot ** 3)
+        check_work("mackey identity", n_slot ** 2 + n_slot, n_slot ** 3)
     slots = window_elements(mod, lo, hi)
 
     report = {

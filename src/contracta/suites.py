@@ -8,8 +8,6 @@ no set iteration.
 
 from itertools import combinations
 
-import numpy as np
-
 from .cocycles import CocycleSpec, check_cocycle_laws, cocycle_from_json, eta
 from .duality import (
     BlockElem,
@@ -84,7 +82,7 @@ from .padic import (
     poly,
 )
 from .scalars import Modulus, gf_rank, torus_from_fraction, torus_inv
-from .sweep import add_table, parallel_map, window_digits, window_elements
+from .sweep import add_table, check_work, parallel_map, window_digits, window_elements, window_size
 
 SEED = 20260825
 
@@ -102,10 +100,18 @@ def _merge(defaults, params):
     return out
 
 
+def _int(params, key):
+    """params[key] as an integer, accepting what int() accepts."""
+    try:
+        return int(params[key])
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParams(f"{key} must be an integer, got {params[key]!r}") from None
+
+
 def _window(value, name="window"):
     try:
         lo, hi = int(value[0]), int(value[1])
-    except (TypeError, ValueError, IndexError):
+    except (TypeError, ValueError, OverflowError, IndexError):
         raise InvalidParams(f"{name} must be a pair of integers") from None
     if lo >= hi:
         raise InvalidParams(f"{name} must satisfy lo < hi, got [{lo}, {hi}]")
@@ -116,7 +122,7 @@ def _moduli(value, name):
     """The moduli of a list of [p, n] pairs."""
     try:
         pairs = [(int(p), int(n)) for p, n in value]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidParams(f"{name} must be a list of [p, n] integer pairs") from None
     return [Modulus(p, n) for p, n in pairs]
 
@@ -162,6 +168,8 @@ _DUALITY_DEFAULTS = {
 def _suite_duality_iso(params):
     params = _merge(_DUALITY_DEFAULTS, params)
     lo, hi = _window(params["window"])
+    if lo != -hi:
+        raise InvalidParams(f"window must be symmetric about 0, got [{lo}, {hi}]")
     checks = []
     for mod in _moduli(params["configs"], "configs"):
         card = mod.card
@@ -185,7 +193,7 @@ def _suite_duality_iso(params):
             sub_cfg = dict(cfg, window=[sub_lo, sub_hi], elements=len(sub))
             checks.append(_check("additivity-exhaustive", sub_cfg, len(sub) ** 3,
                                  _additivity_full(mod, sub, sub_lo, sub_hi)))
-            n_samples = int(params["samples"])
+            n_samples = _int(params, "samples")
             checks.append(_check("additivity-sampled", cfg, n_samples,
                                  _additivity_sampled(mod, lo, hi, n_samples)))
 
@@ -215,6 +223,8 @@ def _suite_duality_iso(params):
 
 def _additivity_full(mod, elems, lo, hi):
     """chi_{y+z}(x) = chi_y(x) chi_z(x) over every (x, y, z); table from real calls."""
+    import numpy as np
+
     size = len(elems)
     table = np.zeros((size, size), dtype=np.uint8)
     for i, x in enumerate(elems):
@@ -237,6 +247,8 @@ def _additivity_full(mod, elems, lo, hi):
 
 def _additivity_sampled(mod, lo, hi, n_samples):
     """Seeded random triples checked with direct character evaluations."""
+    import numpy as np
+
     rng = np.random.default_rng(SEED)
     width = hi - lo
     draws = rng.integers(0, mod.card, size=(n_samples, 3, width))
@@ -298,12 +310,14 @@ def _suite_dual_action(params):
 
 
 def _contraction_sample_check(params):
+    import numpy as np
+
     rng = np.random.default_rng(SEED + 1)
     jobs = []
     moduli = _moduli(params["sample_configs"], "sample_configs")
     if not moduli:
         raise InvalidParams("sample_configs must be nonempty")
-    per = int(params["samples"]) // len(moduli)
+    per = _int(params, "samples") // len(moduli)
     for mod in moduli:
         draws = rng.integers(0, mod.card, size=(per, 6))
         ks = rng.integers(-4, 5, size=per)
@@ -327,7 +341,7 @@ def _contraction_sample_check(params):
 
 
 def _transpose_formula_checks(params):
-    iters = int(params["iterations"])
+    iters = _int(params, "iterations")
     entry_cx = formula_cx = contract_cx = cert_cx = None
     entries = formulas = contracts = certs = 0
     for p in sorted(int(q) for q in params["primes"]):
@@ -429,9 +443,10 @@ _COCYCLE_DEFAULTS = {
 def _suite_cocycle_laws(params):
     params = _merge(_COCYCLE_DEFAULTS, params)
     windows = [_window(w) for w in params["windows"]]
+    max_support = _int(params, "max_support")
     supports = []
-    for r in range(0, int(params["max_support"]) + 1):
-        supports.extend(combinations(range(1, int(params["max_support"]) + 1), r))
+    for r in range(0, max_support + 1):
+        supports.extend(combinations(range(1, max_support + 1), r))
     jobs = [(int(p), s, w) for p in params["primes"] for s in supports for w in windows]
 
     def run(job):
@@ -465,6 +480,8 @@ def _ext_windows(p):
 
 
 def _suite_extension_group(params):
+    import numpy as np
+
     params = _merge(_EXT_DEFAULTS, params)
     checks = []
     for entry in params["configs"]:
@@ -575,9 +592,10 @@ def _suite_commutator_formula(params):
     params = _merge(_COMMUTATOR_DEFAULTS, params)
     n_lo, n_hi = _window(params["n_range"], "n_range")
     k_lo, k_hi = _window(params["k_range"], "k_range")
+    max_support = _int(params, "max_support")
     supports = []
-    for r in range(0, int(params["max_support"]) + 1):
-        supports.extend(combinations(range(1, int(params["max_support"]) + 1), r))
+    for r in range(0, max_support + 1):
+        supports.extend(combinations(range(1, max_support + 1), r))
 
     checks = []
     mono_cx = None
@@ -666,6 +684,8 @@ def _multiplier_from_params(entry):
 
 
 def _suite_multiplier_axioms(params):
+    import numpy as np
+
     params = _merge(_MULTIPLIER_DEFAULTS, params)
     lo, hi = _window(params["window"])
     specs = [_multiplier_from_params(e) for e in params["specs"]]
@@ -738,7 +758,7 @@ def _radical_configs(params):
     try:
         p, k0 = int(trio[0]), int(trio[1])
         support = tuple(int(v) for v in trio[2])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidParams("p and k0 must be integers, S a list of integers") from None
     if k0 < 1:
         raise InvalidParams("k0 must be >= 1")
@@ -785,7 +805,7 @@ def _suite_s_omega(params):
 
 def _suite_verdict(params):
     params = _merge(_VERDICT_DEFAULTS, params)
-    depth = int(params["depth"])
+    depth = _int(params, "depth")
     configs = _radical_configs(params)
 
     def run(config):
@@ -832,11 +852,20 @@ _HEIS_DEFAULTS = {
 
 
 def _suite_heisenberg(params):
+    import numpy as np
+
     params = _merge(_HEIS_DEFAULTS, params)
-    p = int(params["p"])
+    p = _int(params, "p")
     a_lo, a_hi = _window(params["axioms_window"], "axioms_window")
+    if a_lo < 0 or a_hi > 2:
+        raise InvalidParams(f"axioms_window must lie inside [0, 2], got [{a_lo}, {a_hi}]")
     b_lo, b_hi = _window(params["pullback_window"], "pullback_window")
     mod = Modulus(p, 1)
+    # the group table over (xi, upsilon, z) with z one slot wider, then
+    # three characters per (upsilon, z, xi, mu, w) of the pullback window
+    size = p * window_size(p, a_lo, a_hi) ** 3
+    check_work("heisenberg axioms", size ** 2, size ** 3)
+    check_work("heisenberg pullback", 3 * window_size(p, b_lo, b_hi) ** 5, 0)
     zero = lau_zero(mod)
     checks = []
 
@@ -845,7 +874,6 @@ def _suite_heisenberg(params):
     z_ext = window_elements(mod, a_lo, a_hi + 1)
     elems = [HeisElem(1, (xi,), (ups,), z) for xi in coords for ups in coords for z in z_ext]
     ids = {e: i for i, e in enumerate(elems)}
-    size = len(elems)
     base = len(coords) ** 3
     cfg = {"p": p, "window": [a_lo, a_hi], "elements": base, "closure_elements": size}
 

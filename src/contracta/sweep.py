@@ -2,18 +2,42 @@
 
 A window W(lo, hi) is the finite set of series supported inside [lo, hi). Its
 elements are enumerated in a fixed base-p^n digit order, so every sweep, table
-and report derived from a window is reproducible. Parallel maps split the work
-into ordered chunks and reassemble results in order, which keeps every outcome
-independent of the worker count.
+and report derived from a window is reproducible. Sweeps estimate their work
+with `window_size` and `check_work` before enumerating anything. Parallel maps
+split the work into ordered chunks and reassemble results in order, which
+keeps every outcome independent of the worker count.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from .errors import InvalidParams
 from .laurent import laurent
+
+# Largest window sweep a check accepts.  Evaluations count Python-level calls
+# (omega, eta, chi_z, ext_mul, heis_mul, window elements) at tens of
+# microseconds apiece; table entries count numpy array elements.  Every
+# default suite spec stays below both.
+_MAX_EVALUATIONS = 100_000
+_MAX_TABLE_ENTRIES = 1 << 24
+# no window this wide fits either limit, whatever p is
+_MAX_WIDTH = 64
+
+
+def window_size(card, lo, hi):
+    """The number of elements card^(hi - lo) of W(lo, hi), refusing widths
+    whose power alone would take long to form."""
+    if hi - lo > _MAX_WIDTH:
+        raise InvalidParams(f"window ({lo}, {hi}) is {hi - lo} slots wide; the limit is {_MAX_WIDTH}")
+    return card ** (hi - lo)
+
+
+def check_work(what, evaluations, entries):
+    """Refuse a sweep whose work estimate exceeds the limits, before any of it runs."""
+    if evaluations > _MAX_EVALUATIONS or entries > _MAX_TABLE_ENTRIES:
+        raise InvalidParams(
+            f"{what} would take {evaluations} evaluations and {entries} table entries; "
+            f"the limits are {_MAX_EVALUATIONS} and {_MAX_TABLE_ENTRIES}"
+        )
 
 
 def window_elements(modulus, lo, hi):
@@ -51,6 +75,8 @@ def window_digits(card, lo, hi):
     """Coefficient matrix of the whole window: row i holds the digits of the
     i-th element, columns are slots lo..hi-1.  Returns (digits, powers) with
     digits @ powers recovering window ids."""
+    import numpy as np
+
     width = hi - lo
     size = card ** width
     digits = np.zeros((size, width), dtype=np.int64)
@@ -87,6 +113,8 @@ def chunked(items, n_chunks):
 
 def parallel_map(fn, items, workers=None):
     """Map fn over items with ordered reassembly; result is worker-count independent."""
+    from concurrent.futures import ThreadPoolExecutor
+
     items = list(items)
     workers = worker_count() if workers is None else max(1, workers)
     if workers == 1 or len(items) <= 1:

@@ -1,9 +1,13 @@
 """Command-line surface: envelopes, exit codes, file IO, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import contracta
 from contracta.cli import main
 
 Z0_SPEC = '{"cocycle":{"p":2,"support":[1]},"z":{"p":2,"n":1,"finite":{},"tail":{"start":1,"pattern":[1]}}}'
@@ -261,6 +265,15 @@ def test_parse_error_exits_two(capsys):
     ["multiplier", "--spec", POLE_SPEC, "--mackey", "0", "1000000000"],
     ["multiplier", "--spec", POLE_SPEC, "--axioms", "-5", "4"],
     ["verify", "mackey-identity", "--params", '{"window":[-3,3]}'],
+    ["cocycle", "--p", "2", "--support", "1", "--laws", "0", "12"],
+    ["verify", "cocycle-laws", "--params", '{"primes":[2],"windows":[[0,12]]}'],
+    ["s-omega", "--spec", Z0_SPEC, "--window", "0", "30"],
+    ["verify", "verdict-thm56", "--params", '{"depth":"x"}'],
+    ["verify", "verdict-thm56", "--params", '{"depth":null}'],
+    ["verify", "verdict-thm56", "--params", '{"depth":Infinity}'],
+    ["verify", "duality-iso", "--params", '{"window":[0,2],"configs":[[2,1]]}'],
+    ["verify", "heisenberg", "--params", '{"axioms_window":[-2,-1]}'],
+    ["verify", "heisenberg", "--params", '{"p":3}'],
 ])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, "--json", *argv)
@@ -268,6 +281,48 @@ def test_bad_input_is_one_error_line(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import contracta
+seen = {"import contracta": "numpy" in sys.modules}
+import contracta.cli
+seen["import contracta.cli"] = "numpy" in sys.modules
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = contracta.cli.main(["--json", *argv])
+    seen[argv[0]] = [code, "numpy" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_loads_only_for_table_commands():
+    # a fresh interpreter: other tests have already imported numpy into this one
+    x = '{"p":2,"n":1,"finite":{"0":1}}'
+    ext = '{"cocycle":{"p":2,"support":[1]},"w":%s,"x":%s}' % (x, x)
+    heis = '{"n":1,"p":2,"xi":[%s],"upsilon":[%s],"z":%s}' % (x, x, x)
+    calls = [
+        ["eval", "1*t^0 @ p=2^1", "--add", "1*t^1 @ p=2^1"],
+        ["char", "1*t^-1 @ p=2^1", "1*t^0 @ p=2^1"],
+        ["cocycle", "--p", "2", "--support", "1", "1*t^0 @ p=2^1", "1*t^2 @ p=2^1"],
+        ["ext", "mul", ext, ext],
+        ["heis", "mul", heis, heis],
+        ["orbit", heis, heis],
+        ["verdict", "--spec", Z0_SPEC, "--depth", "6"],
+        ["multiplier", "--spec", POLE_SPEC, "1*t^0 @ p=2^1", "1*t^2 @ p=2^1"],
+        ["verify", "cocycle-laws", "--params", '{"primes":[2],"max_support":1,"windows":[[0,1]]}'],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(contracta.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(calls)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen.pop("import contracta") is False
+    assert seen.pop("import contracta.cli") is False
+    assert seen.pop("verify") == [0, True]
+    assert seen == {argv[0]: [0, False] for argv in calls[:-1]}
 
 
 def test_spec_file_ingestion(capsys, tmp_path):
