@@ -3,7 +3,8 @@
 
 Reports land in --out-dir as <suite>.json (canonical one-line form, the same
 bytes the CLI emits with --json).  A one-line summary per suite goes to
-stdout.  Exit status is 0 iff every suite passed.
+stdout.  Exit status is 0 iff every suite passed, and 2 with one `error:` line
+on stderr for an unknown suite name, before any suite runs.
 """
 
 import argparse
@@ -26,14 +27,14 @@ def main():
     ap.add_argument("--suite", action="append", metavar="NAME",
                     help="run only this suite (repeatable; default: all)")
     ap.add_argument("--out-dir", default="reports", help="directory for JSON reports")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="override CONTRACTA_WORKERS for this run")
     args = ap.parse_args()
 
-    if args.workers is not None:
-        os.environ["CONTRACTA_WORKERS"] = str(args.workers)
-
-    names = args.suite or suite_names()
+    known = suite_names()
+    names = args.suite or known
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        print(f"error: UnknownSuite: no suite named {unknown[0]!r}; known: {', '.join(known)}", file=sys.stderr)
+        return 2
     os.makedirs(args.out_dir, exist_ok=True)
 
     width = max(len(n) for n in names)

@@ -6,7 +6,7 @@ Every invocation prints a report envelope
 
 as JSON (indented by default, canonical one-line form with --json, or into a
 file with --out).  Wall-clock timing goes to stderr only, so reports are
-byte-identical across runs and worker counts.  Exit codes: 0 all assertions
+byte-identical across runs.  Exit codes: 0 all assertions
 pass, 1 an assertion failed, 2 usage or input error.
 """
 
@@ -91,29 +91,21 @@ def spec_from_obj(obj):
     raise SchemaError("unrecognized spec shape: expected blocks, cocycle+z, support, or xi keys")
 
 
-def ingest_spec(path):
-    """Load and validate a spec file; the result type follows the JSON shape."""
+def _json_arg(value):
+    """The JSON value given inline (text starting with "{") or in the file value names."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+        if not value.lstrip().startswith("{"):
+            with open(value, "r", encoding="utf-8") as fh:
+                value = fh.read()
+        return json.loads(value)
     except OSError as exc:
         raise IoError(str(exc)) from None
-    try:
-        obj = json.loads(raw)
-    except ValueError as exc:
+    except ValueError as exc:  # UnicodeDecodeError included
         raise SchemaError(f"not valid JSON: {exc}") from None
-    return spec_from_obj(obj)
 
 
 def _spec_arg(value):
-    # inline JSON or a path to a spec file
-    if value.lstrip().startswith("{"):
-        try:
-            obj = json.loads(value)
-        except ValueError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from None
-        return spec_from_obj(obj)
-    return ingest_spec(value)
+    return spec_from_obj(_json_arg(value))
 
 
 def _multiplier_arg(value):
@@ -223,28 +215,8 @@ def _cmd_cocycle(args):
     return out, True
 
 
-def _ext_args(values):
-    out = []
-    for value in values:
-        if value.lstrip().startswith("{"):
-            try:
-                obj = json.loads(value)
-            except ValueError as exc:
-                raise SchemaError(f"not valid JSON: {exc}") from None
-        else:
-            try:
-                with open(value, "r", encoding="utf-8") as fh:
-                    obj = json.load(fh)
-            except OSError as exc:
-                raise IoError(str(exc)) from None
-            except ValueError as exc:
-                raise SchemaError(f"not valid JSON: {exc}") from None
-        out.append(ext_from_json(obj))
-    return out
-
-
 def _cmd_ext(args):
-    elems = _ext_args(args.elements)
+    elems = [ext_from_json(_json_arg(v)) for v in args.elements]
     op = args.op
     if op == "mul":
         if len(elems) != 2:

@@ -108,6 +108,34 @@ def _int(params, key):
         raise InvalidParams(f"{key} must be an integer, got {params[key]!r}") from None
 
 
+def _primes(params):
+    """params["primes"] as a list of integers, accepting what int() accepts."""
+    value = params["primes"]
+    try:
+        if not isinstance(value, list):
+            raise TypeError
+        return [int(p) for p in value]
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParams(f"primes must be a list of integers, got {value!r}") from None
+
+
+def _supports(params, jobs_per_support, what):
+    """Every subset of 1..max_support, by size and then lexicographically.
+
+    Refuses a negative max_support, and a sweep of 2^max_support supports times
+    jobs_per_support whose size exceeds the work limit, before enumerating."""
+    top = _int(params, "max_support")
+    if top < 0:
+        raise InvalidParams(f"max_support must be >= 0, got {top}")
+    # listing the supports is work even with no jobs; min() keeps the estimate
+    # cheap to form, and 2^64 supports exceed the limit anyway
+    check_work(what, (1 << min(top, 64)) * max(1, jobs_per_support), 0)
+    supports = []
+    for r in range(top + 1):
+        supports.extend(combinations(range(1, top + 1), r))
+    return supports
+
+
 def _window(value, name="window"):
     try:
         lo, hi = int(value[0]), int(value[1])
@@ -342,9 +370,10 @@ def _contraction_sample_check(params):
 
 def _transpose_formula_checks(params):
     iters = _int(params, "iterations")
+    primes = sorted(_primes(params))
     entry_cx = formula_cx = contract_cx = cert_cx = None
     entries = formulas = contracts = certs = 0
-    for p in sorted(int(q) for q in params["primes"]):
+    for p in primes:
         for coeffs in [(-p,), (-p, 0), (p, p)]:
             g = poly(p, coeffs)
             mat = companion_matrix(g)
@@ -387,8 +416,8 @@ def _transpose_formula_checks(params):
         if contractivity_certificate(poly(p, (-1,))):
             cert_cx = cert_cx or {"p": p, "coeffs": [-1], "expected": False}
     return [
-        _check("dual-matrix-is-transpose", {"primes": sorted(params["primes"])}, entries, entry_cx),
-        _check("dual-shift-formula", {"primes": sorted(params["primes"])}, formulas, formula_cx),
+        _check("dual-matrix-is-transpose", {"primes": primes}, entries, entry_cx),
+        _check("dual-shift-formula", {"primes": primes}, formulas, formula_cx),
         _check("iterates-contract", {"iterations": iters}, contracts, contract_cx),
         _check("contractivity-certificate", {}, certs, cert_cx),
     ]
@@ -443,11 +472,9 @@ _COCYCLE_DEFAULTS = {
 def _suite_cocycle_laws(params):
     params = _merge(_COCYCLE_DEFAULTS, params)
     windows = [_window(w) for w in params["windows"]]
-    max_support = _int(params, "max_support")
-    supports = []
-    for r in range(0, max_support + 1):
-        supports.extend(combinations(range(1, max_support + 1), r))
-    jobs = [(int(p), s, w) for p in params["primes"] for s in supports for w in windows]
+    primes = _primes(params)
+    supports = _supports(params, len(primes) * len(windows), "cocycle-laws")
+    jobs = [(p, s, w) for p in primes for s in supports for w in windows]
 
     def run(job):
         p, support, (lo, hi) = job
@@ -592,17 +619,17 @@ def _suite_commutator_formula(params):
     params = _merge(_COMMUTATOR_DEFAULTS, params)
     n_lo, n_hi = _window(params["n_range"], "n_range")
     k_lo, k_hi = _window(params["k_range"], "k_range")
-    max_support = _int(params, "max_support")
-    supports = []
-    for r in range(0, max_support + 1):
-        supports.extend(combinations(range(1, max_support + 1), r))
+    primes = _primes(params)
+    # one commutator per (n, k, c, d) with c, d in 1..p-1
+    cells = (n_hi - n_lo + 1) * (k_hi - k_lo + 1) * sum((p - 1) ** 2 for p in primes)
+    supports = _supports(params, cells, "commutator-formula")
 
     checks = []
     mono_cx = None
     mono = 0
-    for p in params["primes"]:
+    for p in primes:
         for support in supports:
-            spec = CocycleSpec(int(p), support)
+            spec = CocycleSpec(p, support)
             mod = spec.modulus
             for n in range(n_lo, n_hi + 1):
                 for k in range(k_lo, k_hi + 1):
@@ -627,11 +654,11 @@ def _suite_commutator_formula(params):
 
     wit_cx = None
     wit = 0
-    for p in params["primes"]:
+    for p in primes:
         for support in supports:
             if not support:
                 continue
-            spec = CocycleSpec(int(p), support)
+            spec = CocycleSpec(p, support)
             mod = spec.modulus
             for j in range(n_lo, n_hi + 1):
                 g, h = derived_witness(spec, j)

@@ -1,14 +1,11 @@
-"""Window enumeration and deterministic parallel sweeps.
+"""Window enumeration and deterministic sweeps.
 
 A window W(lo, hi) is the finite set of series supported inside [lo, hi). Its
 elements are enumerated in a fixed base-p^n digit order, so every sweep, table
 and report derived from a window is reproducible. Sweeps estimate their work
-with `window_size` and `check_work` before enumerating anything. Parallel maps
-split the work into ordered chunks and reassemble results in order, which
-keeps every outcome independent of the worker count.
+with `window_size` and `check_work` before enumerating anything, then run as
+one ordered loop.
 """
-
-import os
 
 from .errors import InvalidParams
 from .laurent import laurent
@@ -91,35 +88,10 @@ def add_table(digits, powers, card):
     return ((digits[:, None, :] + digits[None, :, :]) % card) @ powers
 
 
-def worker_count():
-    raw = os.environ.get("CONTRACTA_WORKERS", "").strip()
-    if raw:
-        return max(1, int(raw))
-    return min(8, os.cpu_count() or 1)
+def parallel_map(fn, items, _workers=None):
+    """fn applied to each item, in order.
 
-
-def chunked(items, n_chunks):
-    items = list(items)
-    n_chunks = max(1, min(n_chunks, len(items)) if items else 1)
-    size, rem = divmod(len(items), n_chunks)
-    out = []
-    start = 0
-    for k in range(n_chunks):
-        end = start + size + (1 if k < rem else 0)
-        out.append(items[start:end])
-        start = end
-    return [c for c in out if c]
-
-
-def parallel_map(fn, items, workers=None):
-    """Map fn over items with ordered reassembly; result is worker-count independent."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    items = list(items)
-    workers = worker_count() if workers is None else max(1, workers)
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    chunks = chunked(items, workers * 4)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda chunk: [fn(item) for item in chunk], chunks))
-    return [r for part in parts for r in part]
+    The name and the ignored third parameter stay only because the benchmark's
+    tracer (bench/tracer.py) wraps this function by name and calls it as
+    parallel_map(fn, items, workers)."""
+    return [fn(item) for item in items]

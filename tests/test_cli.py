@@ -232,16 +232,6 @@ def test_verify_failing_report_exits_one(capsys, monkeypatch):
     assert json.loads(out)["results"]["pass"] is False
 
 
-def test_verify_deterministic_across_worker_counts(capsys, monkeypatch):
-    outputs = []
-    for workers in ("1", "2", "8"):
-        monkeypatch.setenv("CONTRACTA_WORKERS", workers)
-        code, out, _ = run(capsys, "--json", "verify", "dual-action")
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
 # ---------------------------------------------------------------- errors
 
 def test_parse_error_exits_two(capsys):
@@ -274,6 +264,16 @@ def test_parse_error_exits_two(capsys):
     ["verify", "duality-iso", "--params", '{"window":[0,2],"configs":[[2,1]]}'],
     ["verify", "heisenberg", "--params", '{"axioms_window":[-2,-1]}'],
     ["verify", "heisenberg", "--params", '{"p":3}'],
+    ["verify", "cocycle-laws", "--params", '{"primes":["x"]}'],
+    ["verify", "commutator-formula", "--params", '{"primes":["x"]}'],
+    ["verify", "dual-action", "--params", '{"primes":["x"]}'],
+    ["verify", "dual-action", "--params", '{"primes":5}'],
+    ["verify", "cocycle-laws", "--params", '{"max_support":40}'],
+    ["verify", "commutator-formula", "--params", '{"max_support":40}'],
+    ["verify", "cocycle-laws", "--params", '{"max_support":-1}'],
+    ["verify", "commutator-formula", "--params", '{"max_support":-1}'],
+    ["verify", "cocycle-laws", "--params", '{"primes":[],"max_support":40}'],
+    ["verify", "commutator-formula", "--params", '{"n_range":[-1000000,1000000]}'],
 ])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, "--json", *argv)
@@ -349,6 +349,17 @@ def test_bad_spec_json_is_schema_error(capsys, tmp_path):
     code, _, err = run(capsys, "multiplier", "--spec", str(spec_file), "0 @ p=2^1", "0 @ p=2^1")
     assert code == 2
     assert "SchemaError" in err
+
+
+def test_non_utf8_spec_file_is_one_error_line(capsys, tmp_path):
+    spec_file = tmp_path / "bad.json"
+    spec_file.write_bytes(b"\xff\xfe{")
+    for argv in (["verdict", "--spec", str(spec_file)], ["ext", "inv", str(spec_file)]):
+        code, out, err = run(capsys, "--json", *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: SchemaError: ")
 
 
 def test_global_flags_precede_subcommand(capsys):

@@ -1,10 +1,14 @@
 """Verification-suite registry contracts and the sweep helpers behind them."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from contracta import Modulus, laurent, run_suite, suite_names, window_elements, window_id
 from contracta.errors import InvalidParams, UnknownSuite
-from contracta.sweep import add_table, chunked, parallel_map, window_digits, worker_count
+from contracta.sweep import add_table, window_digits
 
 M2 = Modulus(2, 1)
 M3 = Modulus(3, 1)
@@ -37,6 +41,24 @@ def test_unknown_suite_identifies_itself():
 def test_unknown_params_rejected():
     with pytest.raises(InvalidParams):
         run_suite("dual-action", {"bogus": 1})
+
+
+def test_dual_action_reports_converted_primes():
+    rep = run_suite("dual-action", {"primes": [3, "2"], "samples": 4})
+    assert rep["pass"] is True
+    configs = [c["config"] for c in rep["checks"] if c["name"].startswith("dual-")]
+    assert configs == [{"primes": [2, 3]}, {"primes": [2, 3]}]
+
+
+def test_run_suites_script_rejects_unknown_name(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_suites.py"
+    proc = subprocess.run([sys.executable, str(script), "--suite", "verdict-thm56", "--suite", "nope",
+                           "--out-dir", str(tmp_path)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: UnknownSuite: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_envelope_shape():
@@ -103,30 +125,3 @@ def test_add_table_matches_semantics():
     for i in range(len(elems)):
         for j in range(len(elems)):
             assert elems[table[i, j]] == lau_add(elems[i], elems[j])
-
-
-def test_chunked_partitions_in_order():
-    items = list(range(10))
-    chunks = chunked(items, 3)
-    assert [x for chunk in chunks for x in chunk] == items
-    assert len(chunks) <= 3
-    assert chunked([], 4) == []
-
-
-def test_parallel_map_keeps_order(monkeypatch):
-    monkeypatch.setenv("CONTRACTA_WORKERS", "2")
-    got = parallel_map(_square, list(range(20)))
-    assert got == [i * i for i in range(20)]
-    monkeypatch.setenv("CONTRACTA_WORKERS", "1")
-    assert parallel_map(_square, list(range(20))) == got
-
-
-def _square(i):
-    return i * i
-
-
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("CONTRACTA_WORKERS", "3")
-    assert worker_count() == 3
-    monkeypatch.delenv("CONTRACTA_WORKERS")
-    assert worker_count() >= 1
