@@ -7,6 +7,7 @@ C_p (exponent-one coefficients): the pairing is only a cocycle there.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     InvariantViolation,
@@ -47,7 +48,7 @@ class CocycleSpec:
             raise InvariantViolation(f"indicator word must be over {{0,1}}, got {word!r}")
         return cls(p, tuple(n + 1 for n, b in enumerate(bits) if b))
 
-    @property
+    @cached_property
     def modulus(self):
         return Modulus(self.p, 1)
 
@@ -140,6 +141,8 @@ def check_cocycle_laws(spec, lo, hi):
     add_id = add_table(digits, powers, p)
 
     eta_tab = np.zeros((size, size, e_width), dtype=np.uint8)
+    # t*x depends on x alone, so each window element is shifted once, not per pair
+    elems_t = [lau_shift(x, 1) for x in elems]
     equiv_cx = None
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
@@ -147,13 +150,14 @@ def check_cocycle_laws(spec, lo, hi):
             for idx, c in e.finite:
                 eta_tab[i, j, idx - e_lo] = c
             if equiv_cx is None:
-                shifted = eta(spec, lau_shift(x, 1), lau_shift(y, 1))
-                if shifted != lau_shift(e, 1):
+                shifted = eta(spec, elems_t[i], elems_t[j])
+                e_t = lau_shift(e, 1)
+                if shifted != e_t:
                     equiv_cx = {
                         "x": series_to_text(x),
                         "y": series_to_text(y),
                         "lhs": series_to_text(shifted),
-                        "rhs": series_to_text(lau_shift(e, 1)),
+                        "rhs": series_to_text(e_t),
                     }
 
     laws = []

@@ -178,10 +178,17 @@ def lau_scale(x, c):
 
 
 def lau_shift(x, k):
-    """Multiplication by t^k: index translation by k."""
-    coeffs = {i + k: v for i, v in x.finite}
+    """Multiplication by t^k: index translation by k.
+
+    Translating a canonical series keeps it canonical (sorted support,
+    primitive pattern, minimal tail start), so the result is built directly;
+    laurent() on the translated presentation is the reference.
+    """
+    if not isinstance(k, int):
+        raise InvariantViolation(f"shift {k!r} is not an integer")
+    finite = tuple((i + k, v) for i, v in x.finite)
     tail = None if x.tail is None else (x.tail[0] + k, x.tail[1])
-    return laurent(x.modulus, coeffs, tail)
+    return LaurentElem(x.modulus, finite, tail)
 
 
 def lau_mul(x, y):

@@ -108,12 +108,18 @@ def _int(params, key):
         raise InvalidParams(f"{key} must be an integer, got {params[key]!r}") from None
 
 
+def _list(params, key):
+    """params[key], refusing anything but a list."""
+    value = params[key]
+    if not isinstance(value, list):
+        raise InvalidParams(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def _primes(params):
     """params["primes"] as a list of integers, accepting what int() accepts."""
-    value = params["primes"]
+    value = _list(params, "primes")
     try:
-        if not isinstance(value, list):
-            raise TypeError
         return [int(p) for p in value]
     except (TypeError, ValueError, OverflowError):
         raise InvalidParams(f"primes must be a list of integers, got {value!r}") from None
@@ -198,6 +204,7 @@ def _suite_duality_iso(params):
     lo, hi = _window(params["window"])
     if lo != -hi:
         raise InvalidParams(f"window must be symmetric about 0, got [{lo}, {hi}]")
+    table_limit = _int(params, "table_limit")
     checks = []
     for mod in _moduli(params["configs"], "configs"):
         card = mod.card
@@ -212,7 +219,7 @@ def _suite_duality_iso(params):
                 break
         checks.append(_check("canonical-round-trip", cfg, size, cx))
 
-        if size <= params["table_limit"]:
+        if size <= table_limit:
             checks.append(_check("additivity-exhaustive", cfg, size ** 3,
                                  _additivity_full(mod, elems, lo, hi)))
         else:
@@ -471,7 +478,7 @@ _COCYCLE_DEFAULTS = {
 
 def _suite_cocycle_laws(params):
     params = _merge(_COCYCLE_DEFAULTS, params)
-    windows = [_window(w) for w in params["windows"]]
+    windows = [_window(w) for w in _list(params, "windows")]
     primes = _primes(params)
     supports = _supports(params, len(primes) * len(windows), "cocycle-laws")
     jobs = [(p, s, w) for p in primes for s in supports for w in windows]
@@ -511,7 +518,7 @@ def _suite_extension_group(params):
 
     params = _merge(_EXT_DEFAULTS, params)
     checks = []
-    for entry in params["configs"]:
+    for entry in _list(params, "configs"):
         spec = _cocycle_from_params(entry)
         mod = spec.modulus
         (w_lo, w_hi), (x_lo, x_hi) = _ext_windows(spec.p)
@@ -574,15 +581,18 @@ def _suite_extension_group(params):
             }
         checks.append(_check("associativity", cfg, size ** 3, assoc_cx))
 
+        # alpha(a) depends on a alone, so each element is shifted once, and
+        # alpha(a*b) is the shifted element at the closure table's mul[i, j]
+        shifted = [ext_alpha(a, 1) for a in elems]
         alpha_cx = None
-        for a in elems:
-            if ext_alpha(ext_alpha(a, 1), -1) != a:
+        for a, a_t in zip(elems, shifted):
+            if ext_alpha(a_t, -1) != a:
                 alpha_cx = {"a": a.as_text()}
                 break
         if alpha_cx is None:
             for i, a in enumerate(elems):
-                for b in elems:
-                    if ext_alpha(ext_mul(a, b), 1) != ext_mul(ext_alpha(a, 1), ext_alpha(b, 1)):
+                for j, b in enumerate(elems):
+                    if shifted[mul[i, j]] != ext_mul(shifted[i], shifted[j]):
                         alpha_cx = {"a": a.as_text(), "b": b.as_text()}
                         break
                 if alpha_cx:
@@ -715,7 +725,7 @@ def _suite_multiplier_axioms(params):
 
     params = _merge(_MULTIPLIER_DEFAULTS, params)
     lo, hi = _window(params["window"])
-    specs = [_multiplier_from_params(e) for e in params["specs"]]
+    specs = [_multiplier_from_params(e) for e in _list(params, "specs")]
 
     def run(m):
         rep = check_multiplier_axioms(m, lo, hi)
@@ -756,7 +766,7 @@ def _suite_multiplier_axioms(params):
 def _suite_mackey_identity(params):
     params = _merge(_MULTIPLIER_DEFAULTS, params)
     lo, hi = _window(params["window"])
-    specs = [_multiplier_from_params(e) for e in params["specs"]]
+    specs = [_multiplier_from_params(e) for e in _list(params, "specs")]
 
     def run(m):
         rep = mackey_identity_check(m, lo, hi)
@@ -949,32 +959,41 @@ def _suite_heisenberg(params):
     pb_cfg = {"p": p, "window": [b_lo, b_hi]}
     jobs = [(ups, z) for ups in ser for z in ser]
 
+    # g*n and g*n*g^-1 depend on (xi, mu, w) alone, not on the index (upsilon, z),
+    # so they are formed once here instead of once per index
+    products = []
+    for xi in ser:
+        g = HeisElem(1, (xi,), (zero,), zero)
+        g_inv = heis_inv(g)
+        row = []
+        for mu in ser:
+            for w in ser:
+                gn = heis_mul(g, HeisElem(1, (zero,), (mu,), w))
+                row.append((((mu,), w), n_slice(gn), n_slice(heis_mul(gn, g_inv))))
+        products.append(row)
+
     def run(job):
         ups, z = job
         idx = ((ups,), z)
         local = 0
-        for xi in ser:
+        for xi, row in zip(ser, products):
             moved = heis_dual_action((xi,), idx)
             if moved[1] != z:
                 return {"kind": "z-moved", "xi": series_to_text(xi)}
             if z.is_zero() and moved != idx:
                 return {"kind": "fixed-point-moved", "xi": series_to_text(xi)}
-            g = HeisElem(1, (xi,), (zero,), zero)
-            g_inv = heis_inv(g)
-            for mu in ser:
-                for w in ser:
-                    n_elem = HeisElem(1, (zero,), (mu,), w)
-                    arg = ((mu,), w)
-                    lhs = heis_char(idx, n_slice(heis_mul(g, n_elem)))
-                    rhs = heis_char(moved, arg)
-                    conj = heis_char(idx, n_slice(heis_mul(heis_mul(g, n_elem), g_inv)))
-                    local += 3
-                    if lhs != rhs or conj != rhs:
-                        return {
-                            "kind": "pullback", "upsilon": series_to_text(ups),
-                            "z": series_to_text(z), "xi": series_to_text(xi),
-                            "mu": series_to_text(mu), "w": series_to_text(w),
-                        }
+            for arg, gn_arg, conj_arg in row:
+                lhs = heis_char(idx, gn_arg)
+                rhs = heis_char(moved, arg)
+                conj = heis_char(idx, conj_arg)
+                local += 3
+                if lhs != rhs or conj != rhs:
+                    (mu,), w = arg
+                    return {
+                        "kind": "pullback", "upsilon": series_to_text(ups),
+                        "z": series_to_text(z), "xi": series_to_text(xi),
+                        "mu": series_to_text(mu), "w": series_to_text(w),
+                    }
         return local
 
     results = parallel_map(run, jobs)

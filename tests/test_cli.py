@@ -274,6 +274,11 @@ def test_parse_error_exits_two(capsys):
     ["verify", "commutator-formula", "--params", '{"max_support":-1}'],
     ["verify", "cocycle-laws", "--params", '{"primes":[],"max_support":40}'],
     ["verify", "commutator-formula", "--params", '{"n_range":[-1000000,1000000]}'],
+    ["verify", "cocycle-laws", "--params", '{"windows":5}'],
+    ["verify", "extension-group", "--params", '{"configs":5}'],
+    ["verify", "multiplier-axioms", "--params", '{"specs":5}'],
+    ["verify", "mackey-identity", "--params", '{"specs":5}'],
+    ["verify", "duality-iso", "--params", '{"table_limit":"x"}'],
 ])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, "--json", *argv)

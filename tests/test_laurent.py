@@ -1,6 +1,7 @@
 """Canonical-form Laurent series: construction, arithmetic, text/JSON codecs."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -180,6 +181,31 @@ def test_shift_moves_tail_start():
     y = lau_shift(x, -3)
     assert y.tail == (-3, (0, 1))
     assert [y.coeff(i) for i in (-3, -2, -1, 0)] == [0, 1, 0, 1]
+
+
+def test_shift_agrees_with_laurent_on_seeded_series():
+    # lau_shift builds its result without laurent(); canonicalising the
+    # translated presentation is the reference
+    rng = random.Random(20261020)
+    for modulus in (M2, M3, M4):
+        for _ in range(200):
+            coeffs = {rng.randint(-6, 6): rng.randrange(modulus.card) for _ in range(rng.randint(0, 5))}
+            tail = None
+            if rng.random() < 0.5:
+                pattern = tuple(rng.randrange(modulus.card) for _ in range(rng.randint(1, 4)))
+                tail = (rng.randint(-4, 8), pattern)
+            x = laurent(modulus, coeffs, tail)
+            for k in (-10**9, -7, -1, 0, 1, 5, 10**9, rng.randint(-50, 50)):
+                shifted_tail = None if x.tail is None else (x.tail[0] + k, x.tail[1])
+                want = laurent(modulus, {i + k: v for i, v in x.finite}, shifted_tail)
+                assert lau_shift(x, k) == want
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0])
+def test_shift_refuses_non_integer(k):
+    for x in (laurent(M2, {0: 1}), laurent(M2, {-1: 1}, tail=(1, (1, 0))), lau_zero(M2)):
+        with pytest.raises(InvariantViolation):
+            lau_shift(x, k)
 
 
 @given(finite_series(M3), finite_series(M3))

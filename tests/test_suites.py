@@ -6,7 +6,21 @@ from pathlib import Path
 
 import pytest
 
-from contracta import Modulus, laurent, run_suite, suite_names, window_elements, window_id
+from contracta import (
+    CocycleSpec,
+    ExtElem,
+    HeisElem,
+    Modulus,
+    lau_add,
+    lau_monomial,
+    lau_zero,
+    laurent,
+    run_suite,
+    suite_names,
+    window_elements,
+    window_id,
+)
+from contracta import cocycles, suites
 from contracta.errors import InvalidParams, UnknownSuite
 from contracta.sweep import add_table, window_digits
 
@@ -93,6 +107,82 @@ def test_single_config_validates_values():
         run_suite("s-omega-prop57", {"p": 2, "k0": 0, "S": [1]})
     with pytest.raises(InvalidParams):
         run_suite("s-omega-prop57", {"p": 2, "k0": 1, "S": []})
+
+
+# ---------------------------------------------------------------- planted faults
+#
+# One wrong value in heis_mul, ext_mul or eta must fail the check whose loop
+# forms that value once and reuses it.  The checked count and the first
+# counterexample are the ones the per-pair loops gave for the same fault.
+
+def _check_named(rep, name):
+    return next(c for c in rep["checks"] if c["name"] == name)
+
+
+def test_planted_heis_mul_fault_fails_pullback(monkeypatch):
+    zero, one = lau_zero(M2), lau_monomial(M2, 0, 1)
+    g = HeisElem(1, (lau_monomial(M2, -1, 1),), (zero,), zero)
+    n = HeisElem(1, (zero,), (one,), zero)
+    real = suites.heis_mul
+
+    def faulty(a, b):
+        out = real(a, b)
+        if a == g and b == n:
+            return HeisElem(1, out.xi, out.upsilon, lau_add(out.z, one))
+        return out
+
+    monkeypatch.setattr(suites, "heis_mul", faulty)
+    rep = run_suite("heisenberg", {"axioms_window": [0, 1], "pullback_window": [-1, 1]})
+    # xi = t^-1 lies outside the axioms window, so only the pullback sees the fault
+    assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == ["pullback-and-dual-action"]
+    check = _check_named(rep, "pullback-and-dual-action")
+    assert check["checked"] == 1536
+    assert check["counterexample"] == {
+        "kind": "pullback", "upsilon": "0 @ p=2^1", "z": "1*t^0 @ p=2^1",
+        "xi": "1*t^-1 @ p=2^1", "mu": "1*t^0 @ p=2^1", "w": "0 @ p=2^1",
+    }
+
+
+def test_planted_ext_mul_fault_fails_shift_automorphism(monkeypatch):
+    spec = CocycleSpec(2, (1,))
+    zero, one = lau_zero(M2), lau_monomial(M2, 0, 1)
+    a = ExtElem(spec, zero, lau_monomial(M2, -1, 1))
+    real = suites.ext_mul
+
+    def faulty(x, y):
+        # a*a is (0 | 0); (1 | 0) stays in the window, so the closure table holds it
+        if x == a and y == a:
+            return ExtElem(spec, one, zero)
+        return real(x, y)
+
+    monkeypatch.setattr(suites, "ext_mul", faulty)
+    rep = run_suite("extension-group", {"configs": [{"p": 2, "support": [1]}]})
+    assert _check_named(rep, "window-closure")["status"] == "pass"
+    check = _check_named(rep, "shift-automorphism")
+    assert check["status"] == "fail"
+    assert check["checked"] == 4160
+    assert check["counterexample"] == {"a": "(0 @ p=2^1 | 1*t^-1 @ p=2^1)",
+                                       "b": "(0 @ p=2^1 | 1*t^-1 @ p=2^1)"}
+
+
+def test_planted_eta_fault_fails_shift_equivariance(monkeypatch):
+    t2 = lau_monomial(M2, 2, 1)
+    real = cocycles.eta
+
+    def faulty(spec, x, y):
+        # (t^2, t^2) is the shifted pair of (t, t) and lies outside the window
+        if x == t2 and y == t2:
+            return lau_monomial(M2, 3, 1)
+        return real(spec, x, y)
+
+    monkeypatch.setattr(cocycles, "eta", faulty)
+    rep = run_suite("cocycle-laws", {"primes": [2], "max_support": 1, "windows": [[0, 2]]})
+    law = {"law": "shift-equivariance", "status": "fail", "counterexample": {
+        "x": "1*t^1 @ p=2^1", "y": "1*t^1 @ p=2^1", "lhs": "1*t^3 @ p=2^1", "rhs": "0 @ p=2^1"}}
+    assert [(c["config"]["support"], c["checked"], c["counterexample"]) for c in rep["checks"]] == [
+        ([], 80, {"laws": [law]}),
+        ([1], 80, {"laws": [law]}),
+    ]
 
 
 # ---------------------------------------------------------------- sweep
