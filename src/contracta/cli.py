@@ -15,31 +15,10 @@ import json
 import sys
 import time
 
-from .cocycles import CocycleSpec, check_cocycle_laws, cocycle_from_json, cocycle_to_json, eta, theta
-from .duality import block_spec_from_json, chi_char, dual_action_T
 from .errors import ContractaError, InvalidParams, IoError, SchemaError
-from .extensions import (
-    ExtElem,
-    derived_witness,
-    ext_alpha,
-    ext_commutator,
-    ext_elem,
-    ext_from_json,
-    ext_inv,
-    ext_mul,
-    ext_to_json,
-    predicted_monomial_commutator,
-)
-from .heisenberg import (
-    heis_dual_action,
-    heis_from_json,
-    heis_inv,
-    heis_mul,
-    heis_to_json,
-    heis_char,
-    n_slice,
-    orbit_description,
-)
+
+# The package loads `laurent` in any case; every other layer module is
+# imported by the handler that calls it, so a command loads only what it runs.
 from .laurent import (
     lau_add,
     lau_monomial,
@@ -52,24 +31,23 @@ from .laurent import (
     series_to_text,
     text_to_series,
 )
-from .multipliers import (
-    MultiplierSpec,
-    check_multiplier_axioms,
-    h_omega,
-    in_s_omega,
-    mackey_identity_check,
-    multiplier_from_json,
-    multiplier_to_json,
-    omega,
-    omega2,
-    omega2_closed_form,
-    s_omega_window,
-    type_i_verdict,
-)
-from .suites import run_suite, suite_names
-from .sweep import window_elements
 
 SCHEMA_VERSION = "1"
+
+# `suites.suite_names()`, spelled out so that building the parser (and the
+# `verify` help text) does not load every layer module
+SUITE_NAMES = (
+    "cocycle-laws",
+    "commutator-formula",
+    "dual-action",
+    "duality-iso",
+    "extension-group",
+    "heisenberg",
+    "mackey-identity",
+    "multiplier-axioms",
+    "s-omega-prop57",
+    "verdict-thm56",
+)
 
 
 def parse_series(text):
@@ -81,12 +59,20 @@ def spec_from_obj(obj):
     if not isinstance(obj, dict):
         raise SchemaError("spec must be a JSON object")
     if "blocks" in obj:
+        from .duality import block_spec_from_json
+
         return block_spec_from_json(obj)
     if "cocycle" in obj and "z" in obj:
+        from .multipliers import multiplier_from_json
+
         return multiplier_from_json(obj)
     if "support" in obj:
+        from .cocycles import cocycle_from_json
+
         return cocycle_from_json(obj)
     if "xi" in obj:
+        from .heisenberg import heis_from_json
+
         return heis_from_json(obj)
     raise SchemaError("unrecognized spec shape: expected blocks, cocycle+z, support, or xi keys")
 
@@ -110,6 +96,8 @@ def _spec_arg(value):
 
 def _multiplier_arg(value):
     spec = _spec_arg(value)
+    from .multipliers import MultiplierSpec
+
     if not isinstance(spec, MultiplierSpec):
         raise InvalidParams("the spec must describe a multiplier (cocycle + z)")
     return spec
@@ -144,6 +132,8 @@ def _window_arg(pair, flag):
 
 
 def _cocycle_from_args(args):
+    from .cocycles import CocycleSpec
+
     if args.prefix is not None:
         return CocycleSpec.from_prefix(args.p, args.prefix)
     if args.support is None:
@@ -183,6 +173,8 @@ def _cmd_eval(args):
 
 
 def _cmd_char(args):
+    from .duality import chi_char, dual_action_T
+
     y = parse_series(args.index)
     x = parse_series(args.argument)
     if args.dual_shift:
@@ -195,6 +187,8 @@ def _cmd_char(args):
 
 
 def _cmd_cocycle(args):
+    from .cocycles import check_cocycle_laws, cocycle_to_json, eta, theta
+
     spec = _cocycle_from_args(args)
     if args.laws is not None:
         lo, hi = _window_arg(args.laws, "--laws")
@@ -216,6 +210,8 @@ def _cmd_cocycle(args):
 
 
 def _cmd_ext(args):
+    from .extensions import ext_alpha, ext_commutator, ext_from_json, ext_inv, ext_mul, ext_to_json
+
     elems = [ext_from_json(_json_arg(v)) for v in args.elements]
     op = args.op
     if op == "mul":
@@ -238,6 +234,14 @@ def _cmd_ext(args):
 
 
 def _cmd_commutator(args):
+    from .extensions import (
+        ExtElem,
+        derived_witness,
+        ext_commutator,
+        ext_elem,
+        predicted_monomial_commutator,
+    )
+
     spec = _cocycle_from_args(args)
     mod = spec.modulus
     if args.witness is not None:
@@ -269,6 +273,15 @@ def _cmd_commutator(args):
 
 
 def _cmd_multiplier(args):
+    from .multipliers import (
+        check_multiplier_axioms,
+        mackey_identity_check,
+        multiplier_to_json,
+        omega,
+        omega2,
+        omega2_closed_form,
+    )
+
     m = _multiplier_arg(args.spec)
     if args.axioms is not None:
         lo, hi = _window_arg(args.axioms, "--axioms")
@@ -297,6 +310,9 @@ def _cmd_multiplier(args):
 
 
 def _cmd_s_omega(args):
+    from .multipliers import h_omega, in_s_omega, multiplier_to_json, s_omega_window
+    from .sweep import window_elements
+
     m = _multiplier_arg(args.spec)
     if args.window is not None:
         lo, hi = _window_arg(args.window, "--window")
@@ -325,12 +341,16 @@ def _cmd_s_omega(args):
 
 
 def _cmd_verdict(args):
+    from .multipliers import type_i_verdict
+
     m = _multiplier_arg(args.spec)
     report = type_i_verdict(m, args.depth)
     return report.to_json(), True
 
 
 def _cmd_heis(args):
+    from .heisenberg import heis_char, heis_dual_action, heis_inv, heis_mul, heis_to_json, n_slice
+
     arity = 1 if args.op == "inv" else 2
     if len(args.elements) != arity:
         raise InvalidParams(f"{args.op} takes exactly {arity} element(s)")
@@ -352,6 +372,8 @@ def _cmd_heis(args):
 
 
 def _cmd_orbit(args):
+    from .heisenberg import n_slice, orbit_description
+
     idx_elem = _heis_arg(args.index)
     query_elem = _heis_arg(args.query)
     desc = orbit_description(n_slice(idx_elem))
@@ -364,6 +386,8 @@ def _cmd_orbit(args):
 
 
 def _cmd_verify(args):
+    from .suites import run_suite
+
     params = None
     if args.params is not None:
         try:
@@ -468,7 +492,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_orbit)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", help="one of: " + ", ".join(suite_names()))
+    p.add_argument("suite", help="one of: " + ", ".join(SUITE_NAMES))
     p.add_argument("--params", metavar="JSON", default=None)
     p.set_defaults(handler=_cmd_verify)
     return parser

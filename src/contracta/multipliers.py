@@ -395,6 +395,11 @@ def type_i_verdict(m, depth: int):
         return SOmegaReport(m, floor, (), "Inconclusive")
 
     k = m.s.max_shift - int(m.z.valuation)
+    # h_omega(t^q) makes p - 1 omega2 calls per slot of q - 2*max S .. k; the
+    # loops below probe q = k .. floor + 1, and one of those q twice
+    probes = max(0, k - floor)
+    slots = probes * (2 * m.s.max_shift + 1) + probes * (probes - 1) // 2
+    check_work(f"verdict at depth {depth}", (m.s.p - 1) * (slots + probes + 2 * m.s.max_shift), 0)
     while k > floor and h_omega(m, lau_monomial(mod, k, 1)).is_zero():
         k -= 1
 

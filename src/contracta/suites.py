@@ -522,11 +522,12 @@ def _suite_extension_group(params):
         spec = _cocycle_from_params(entry)
         mod = spec.modulus
         (w_lo, w_hi), (x_lo, x_hi) = _ext_windows(spec.p)
+        size = window_size(mod.card, w_lo, w_hi) * window_size(mod.card, x_lo, x_hi)
+        check_work("extension-group", size ** 2, size ** 3)
         w_slots = window_elements(mod, w_lo, w_hi)
         x_slots = window_elements(mod, x_lo, x_hi)
         elems = [ExtElem(spec, w, x) for w in w_slots for x in x_slots]
         ids = {(e.w, e.x): i for i, e in enumerate(elems)}
-        size = len(elems)
         cfg = {
             "p": spec.p,
             "support": list(spec.support),

@@ -1,5 +1,6 @@
 """Command-line surface: envelopes, exit codes, file IO, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import contracta
 from contracta.cli import main
 
 Z0_SPEC = '{"cocycle":{"p":2,"support":[1]},"z":{"p":2,"n":1,"finite":{},"tail":{"start":1,"pattern":[1]}}}'
+Z1_SPEC = '{"cocycle":{"p":2,"support":[1]},"z":{"p":2,"n":1,"finite":{},"tail":{"start":-1,"pattern":[1]}}}'
 POLE_SPEC = '{"cocycle":{"p":2,"support":[1]},"z":{"p":2,"n":1,"finite":{"-1":1}}}'
 
 
@@ -221,12 +223,12 @@ def test_verify_unknown_suite(capsys):
 
 
 def test_verify_failing_report_exits_one(capsys, monkeypatch):
-    import contracta.cli as cli_mod
+    import contracta.suites as suites_mod
 
     def fake_run_suite(name, params=None):
         return {"suite": name, "params": {}, "checks": [], "failures": 1, "pass": False}
 
-    monkeypatch.setattr(cli_mod, "run_suite", fake_run_suite)
+    monkeypatch.setattr(suites_mod, "run_suite", fake_run_suite)
     code, out, _ = run(capsys, "--json", "verify", "dual-action")
     assert code == 1
     assert json.loads(out)["results"]["pass"] is False
@@ -279,6 +281,9 @@ def test_parse_error_exits_two(capsys):
     ["verify", "multiplier-axioms", "--params", '{"specs":5}'],
     ["verify", "mackey-identity", "--params", '{"specs":5}'],
     ["verify", "duality-iso", "--params", '{"table_limit":"x"}'],
+    ["verdict", "--spec", Z1_SPEC, "--depth", "5000"],
+    ["verify", "verdict-thm56", "--params", '{"depth":5000}'],
+    ["verify", "extension-group", "--params", '{"configs":[{"p":5,"support":[1]}]}'],
 ])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, "--json", *argv)
@@ -290,14 +295,17 @@ def test_bad_input_is_one_error_line(capsys, argv):
 
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
+WATCHED = ("numpy", "contracta.multipliers", "contracta.suites")
+def loaded():
+    return [name for name in WATCHED if name in sys.modules]
 import contracta
-seen = {"import contracta": "numpy" in sys.modules}
+seen = {"import contracta": loaded()}
 import contracta.cli
-seen["import contracta.cli"] = "numpy" in sys.modules
+seen["import contracta.cli"] = loaded()
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = contracta.cli.main(["--json", *argv])
-    seen[argv[0]] = [code, "numpy" in sys.modules]
+    seen[argv[0]] = [code, loaded()]
 print(json.dumps(seen))
 """
 
@@ -312,6 +320,7 @@ def test_numpy_loads_only_for_table_commands():
         ["char", "1*t^-1 @ p=2^1", "1*t^0 @ p=2^1"],
         ["cocycle", "--p", "2", "--support", "1", "1*t^0 @ p=2^1", "1*t^2 @ p=2^1"],
         ["ext", "mul", ext, ext],
+        ["commutator", "--p", "2", "--support", "1", "--n", "0", "--k", "1"],
         ["heis", "mul", heis, heis],
         ["orbit", heis, heis],
         ["verdict", "--spec", Z0_SPEC, "--depth", "6"],
@@ -324,10 +333,33 @@ def test_numpy_loads_only_for_table_commands():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert seen.pop("import contracta") is False
-    assert seen.pop("import contracta.cli") is False
-    assert seen.pop("verify") == [0, True]
-    assert seen == {argv[0]: [0, False] for argv in calls[:-1]}
+    # each call runs after the ones above it, in the same interpreter
+    assert seen.pop("import contracta") == []
+    assert seen.pop("import contracta.cli") == []
+    assert seen.pop("verify") == [0, ["numpy", "contracta.multipliers", "contracta.suites"]]
+    assert seen.pop("verdict") == [0, ["contracta.multipliers"]]
+    assert seen.pop("multiplier") == [0, ["contracta.multipliers"]]
+    assert seen == {argv[0]: [0, []] for argv in calls[:-3]}
+
+
+def test_suite_names_match_the_registry():
+    from contracta.cli import SUITE_NAMES
+    from contracta.suites import suite_names
+
+    assert SUITE_NAMES == tuple(suite_names())
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--help"], "5c1d4d8647a39e9d1edd13b4393f80ce3866128fd124ff284d13d928099ed163"),
+    (["verify", "--help"], "112b424fcf036e2ccbb78fcf7a0d97139b6ef988d8f580f00d1ad95b49be9f39"),
+    (["eval", "--help"], "7ffd985fa555459cbc742fa5d8f45ea8b18a1b2ffb81ed26d07fa95db338afb7"),
+])
+def test_help_text_is_pinned(capsys, monkeypatch, argv, digest):
+    # sha256 of the help bytes as Python 3.11's argparse lays them out at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_spec_file_ingestion(capsys, tmp_path):
