@@ -18,7 +18,7 @@ from .errors import (
 )
 from .laurent import laurent, lau_add, lau_shift, series_to_text
 from .scalars import Modulus, is_prime
-from .sweep import add_table, check_work, window_digits, window_elements, window_size
+from .sweep import add_mod, add_table, check_work, window_digits, window_elements, window_size
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,48 @@ def _law_report(name, status, cx=None):
     return {"law": name, "status": status, "counterexample": cx}
 
 
+def law_masks(eta_tab, add_id, p):
+    """Mismatch masks of additivity-first, additivity-second and the cocycle
+    identity over an eta table, from plain `% p` sums in uint16 lanes.
+
+    This is the reference form: packed_law_verdicts must agree with it, and
+    its first True entry in C order is the first counterexample.
+    """
+    t = eta_tab.astype("uint16")
+    tx = t[add_id]  # [i, i2, j]: eta(x_i + x_i2, x_j)
+    ty = t[:, add_id]  # [i, j, j2]: eta(x_i, x_j + x_j2)
+    return (
+        tx != (t[:, None] + t[None]) % p,
+        ty != (t[:, :, None] + t[:, None]) % p,
+        (t[:, :, None] + tx) % p != (ty + t[None]) % p,
+    )
+
+
+def packed_law_verdicts(packed, add_id, p):
+    """Whether additivity-first, additivity-second and the cocycle identity
+    hold on a uint8 eta table whose rows are padded with zeros to whole
+    8-byte words.
+
+    Each pair's row is viewed as uint64 words, so a gather along the window
+    axes moves one word per pair; the sums mod p run on the byte lanes.
+    """
+    import numpy as np
+
+    words = packed.view(np.uint64)
+    gx = words[add_id].view(np.uint8)  # [i, i2, j]: eta(x_i + x_i2, x_j)
+    gy = words[:, add_id].view(np.uint8)  # [i, j, j2]: eta(x_i, x_j + x_j2)
+    buf = np.empty_like(gx)
+
+    def equal(a, b):
+        return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    first = equal(gx, add_mod(packed[:, None], packed[None], p, buf))
+    second = equal(gy, add_mod(packed[:, :, None], packed[:, None], p, buf))
+    # the gathers are spent after the additivity checks, so they take the sums
+    identity = equal(add_mod(packed[:, :, None], gx, p, gx), add_mod(gy, packed[None], p, gy))
+    return first, second, identity
+
+
 def check_cocycle_laws(spec, lo, hi):
     """Exhaustively verify the cocycle laws on the window W(lo, hi).
 
@@ -140,7 +182,9 @@ def check_cocycle_laws(spec, lo, hi):
     digits, powers = window_digits(p, lo, hi)
     add_id = add_table(digits, powers, p)
 
-    eta_tab = np.zeros((size, size, e_width), dtype=np.uint8)
+    # eta_tab is the first e_width bytes of rows padded to whole 8-byte words
+    packed = np.zeros((size, size, -(-e_width // 8) * 8), dtype=np.uint8)
+    eta_tab = packed[:, :, :e_width]
     # t*x depends on x alone, so each window element is shifted once, not per pair
     elems_t = [lau_shift(x, 1) for x in elems]
     equiv_cx = None
@@ -160,15 +204,20 @@ def check_cocycle_laws(spec, lo, hi):
                         "rhs": series_to_text(e_t),
                     }
 
+    ok_first, ok_second, ok_identity = verdicts = packed_law_verdicts(packed, add_id, p)
+    # when a law fails, the `% p` masks give its first counterexample in
+    # enumeration order
+    masks = None if all(verdicts) else law_masks(eta_tab, add_id, p)
+
+    def first_bad(law):
+        return (int(v) for v in np.argwhere(masks[law])[0][:3])
+
     laws = []
 
     # additivity in each slot: eta(x+x', y) and eta(x, y+y') split termwise
-    lhs = eta_tab[add_id]  # [i, i2, j]
-    rhs = (eta_tab[:, None, :, :] + eta_tab[None, :, :, :]) % p
-    bad = lhs != rhs
     cx = None
-    if bad.any():
-        i, i2, j = (int(v) for v in np.argwhere(bad)[0][:3])
+    if not ok_first:
+        i, i2, j = first_bad(0)
         cx = {
             "x": series_to_text(elems[i]),
             "x2": series_to_text(elems[i2]),
@@ -180,12 +229,9 @@ def check_cocycle_laws(spec, lo, hi):
         }
     laws.append(_law_report("additivity-first", "fail" if cx else "pass", cx))
 
-    lhs = eta_tab[:, add_id]  # [i, j, j2]
-    rhs = (eta_tab[:, :, None, :] + eta_tab[:, None, :, :]) % p
-    bad = lhs != rhs
     cx = None
-    if bad.any():
-        i, j, j2 = (int(v) for v in np.argwhere(bad)[0][:3])
+    if not ok_second:
+        i, j, j2 = first_bad(1)
         cx = {
             "x": series_to_text(elems[i]),
             "y": series_to_text(elems[j]),
@@ -200,12 +246,9 @@ def check_cocycle_laws(spec, lo, hi):
     laws.append(_law_report("shift-equivariance", "fail" if equiv_cx else "pass", equiv_cx))
 
     # eta(x,y) + eta(x+y,z) == eta(x,y+z) + eta(y,z) over all triples
-    lhs = (eta_tab[:, :, None, :] + eta_tab[add_id]) % p
-    rhs = (eta_tab[:, add_id] + eta_tab[None, :, :, :]) % p
-    bad = lhs != rhs
     cx = None
-    if bad.any():
-        i, j, k = (int(v) for v in np.argwhere(bad)[0][:3])
+    if not ok_identity:
+        i, j, k = first_bad(2)
         x, y, z = elems[i], elems[j], elems[k]
         cx = {
             "x": series_to_text(x),

@@ -32,13 +32,12 @@ def chi_char(y, x):
         raise UnsupportedOperands("chi_char with tails on both sides is not supported")
     if x.is_zero() or y.is_zero():
         return torus_from_fraction(0, 0, x.modulus.p)
+    # at most one side has a tail, so the pairing is a finite sum over the
+    # explicit terms of the other side
     if not x.has_tail():
-        # y vanishes below its valuation, so only x's explicit terms contribute
         exponent = sum(c * y.coeff(-j) for j, c in x.finite)
     else:
-        exponent = 0
-        for j in range(int(x.valuation), -int(y.valuation) + 1):
-            exponent += x.coeff(j) * y.coeff(-j)
+        exponent = sum(c * x.coeff(-i) for i, c in y.finite)
     return torus_from_fraction(exponent, x.modulus.n, x.modulus.p)
 
 

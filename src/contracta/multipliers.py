@@ -32,7 +32,7 @@ from .laurent import (
     series_to_text,
 )
 from .scalars import Modulus, torus_from_fraction, torus_identity, torus_inv, torus_mul
-from .sweep import add_table, check_work, window_digits, window_elements, window_id, window_size
+from .sweep import add_mod, add_table, check_work, window_digits, window_elements, window_id, window_size
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,10 @@ def check_multiplier_axioms(m, lo, hi):
             "right", int(np.argmax(table[:, 0])))
         m2_cx = {"x": series_to_text(elems[idx]), "side": side}
 
-    lhs = (table[:, :, None] + table[add_id][:, :, :]) % p      # [x, y, z]
-    rhs = (table[:, add_id] + table[None, :, :]) % p
-    bad = lhs != rhs
+    # the gathers [x, y, z] are fresh copies, so they take the sums mod p
+    lhs = table[add_id]
+    rhs = table[:, add_id]
+    bad = add_mod(table[:, :, None], lhs, p, lhs) != add_mod(rhs, table[None], p, rhs)
     m1_cx = None
     if bad.any():
         i, j, k = (int(v) for v in np.argwhere(bad)[0])
@@ -396,20 +397,22 @@ def type_i_verdict(m, depth: int):
 
     k = m.s.max_shift - int(m.z.valuation)
     # h_omega(t^q) makes p - 1 omega2 calls per slot of q - 2*max S .. k; the
-    # loops below probe q = k .. floor + 1, and one of those q twice
+    # loop below probes q = k .. floor + 1 once each, and the bound allows
+    # one probe more than that
     probes = max(0, k - floor)
     slots = probes * (2 * m.s.max_shift + 1) + probes * (probes - 1) // 2
     check_work(f"verdict at depth {depth}", (m.s.p - 1) * (slots + probes + 2 * m.s.max_shift), 0)
-    while k > floor and h_omega(m, lau_monomial(mod, k, 1)).is_zero():
-        k -= 1
 
+    # the reported K is the first q with a nonzero image, or floor if none
+    top = floor
     basis = {}
     witnesses = []
     for q in range(k, floor, -1):
         img = h_omega(m, lau_monomial(mod, q, 1))
         if img.is_zero():
             continue
+        top = max(top, q)
         if _independent_append(basis, dict(img.finite), m.s.p):
             witnesses.append((q, img))
     verdict = "NotTypeI_witnessed" if 2 * len(witnesses) >= depth else "Inconclusive"
-    return SOmegaReport(m, k, tuple(witnesses), verdict)
+    return SOmegaReport(m, top, tuple(witnesses), verdict)

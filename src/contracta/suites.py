@@ -82,7 +82,17 @@ from .padic import (
     poly,
 )
 from .scalars import Modulus, gf_rank, torus_from_fraction, torus_inv
-from .sweep import add_table, check_work, parallel_map, window_digits, window_elements, window_size
+from .sweep import (
+    add_mod,
+    add_table,
+    check_work,
+    closure_table,
+    first_nonassociative,
+    parallel_map,
+    window_digits,
+    window_elements,
+    window_size,
+)
 
 SEED = 20260825
 
@@ -208,8 +218,18 @@ def _suite_duality_iso(params):
     checks = []
     for mod in _moduli(params["configs"], "configs"):
         card = mod.card
+        size = window_size(card, lo, hi)
+        # a few calls per window element, chi on every pair of the exhaustive
+        # window with one sum per triple, and three characters per sample
+        check_work("duality-iso window", size, 0)
+        full = size if size <= table_limit else window_size(card, -1, 1)
+        check_work("duality-iso additivity", full ** 2, full ** 3)
+        if size > table_limit:
+            n_samples = _int(params, "samples")
+            if n_samples < 0:
+                raise InvalidParams(f"samples must be >= 0, got {n_samples}")
+            check_work("duality-iso sampled additivity", 3 * n_samples, 0)
         elems = window_elements(mod, lo, hi)
-        size = len(elems)
         cfg = {"p": mod.p, "n": mod.n, "window": [lo, hi], "elements": size}
 
         cx = None
@@ -228,7 +248,6 @@ def _suite_duality_iso(params):
             sub_cfg = dict(cfg, window=[sub_lo, sub_hi], elements=len(sub))
             checks.append(_check("additivity-exhaustive", sub_cfg, len(sub) ** 3,
                                  _additivity_full(mod, sub, sub_lo, sub_hi)))
-            n_samples = _int(params, "samples")
             checks.append(_check("additivity-sampled", cfg, n_samples,
                                  _additivity_sampled(mod, lo, hi, n_samples)))
 
@@ -268,8 +287,7 @@ def _additivity_full(mod, elems, lo, hi):
     digits, powers = window_digits(mod.card, lo, hi)
     add_id = add_table(digits, powers, mod.card)
     lhs = table[:, add_id]
-    rhs = (table[:, :, None] + table[:, None, :]) % mod.card
-    bad = lhs != rhs
+    bad = lhs != add_mod(table[:, :, None], table[:, None, :], mod.card, np.empty_like(lhs))
     if not bad.any():
         return None
     i, j, k = (int(v) for v in np.argwhere(bad)[0])
@@ -527,7 +545,7 @@ def _suite_extension_group(params):
         w_slots = window_elements(mod, w_lo, w_hi)
         x_slots = window_elements(mod, x_lo, x_hi)
         elems = [ExtElem(spec, w, x) for w in w_slots for x in x_slots]
-        ids = {(e.w, e.x): i for i, e in enumerate(elems)}
+        ids = {e: i for i, e in enumerate(elems)}
         cfg = {
             "p": spec.p,
             "support": list(spec.support),
@@ -536,23 +554,16 @@ def _suite_extension_group(params):
             "elements": size,
         }
 
-        mul = np.zeros((size, size), dtype=np.int64)
+        mul, miss = closure_table(elems, ext_mul, ids)
         closure_cx = None
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                c = ext_mul(a, b)
-                got = ids.get((c.w, c.x))
-                if got is None:
-                    closure_cx = {"a": a.as_text(), "b": b.as_text(), "ab": c.as_text()}
-                    break
-                mul[i, j] = got
-            if closure_cx:
-                break
+        if miss:
+            i, j, c = miss
+            closure_cx = {"a": elems[i].as_text(), "b": elems[j].as_text(), "ab": c.as_text()}
         checks.append(_check("window-closure", cfg, size * size, closure_cx))
         if closure_cx:
             continue
 
-        e_id = ids[(lau_zero(mod), lau_zero(mod))]
+        e_id = ids[ExtElem(spec, lau_zero(mod), lau_zero(mod))]
         order = np.arange(size)
         id_ok = (mul[e_id] == order).all() and (mul[:, e_id] == order).all()
         checks.append(_check("identity", cfg, 2 * size, None if id_ok else {"id": int(e_id)}))
@@ -560,7 +571,7 @@ def _suite_extension_group(params):
         inv_cx = None
         for i, a in enumerate(elems):
             b = ext_inv(a)
-            j = ids.get((b.w, b.x))
+            j = ids.get(b)
             if j is None or mul[i, j] != e_id or mul[j, i] != e_id:
                 inv_cx = {"a": a.as_text(), "inv": b.as_text()}
                 break
@@ -569,12 +580,10 @@ def _suite_extension_group(params):
                 break
         checks.append(_check("inverses", cfg, 2 * size, inv_cx))
 
-        left = mul[mul]
-        right = mul[:, mul]
-        bad = left != right
+        triple = first_nonassociative(mul)
         assoc_cx = None
-        if bad.any():
-            i, j, k = (int(v) for v in np.argwhere(bad)[0])
+        if triple:
+            i, j, k = triple
             assoc_cx = {
                 "a": elems[i].as_text(),
                 "b": elems[j].as_text(),
@@ -751,12 +760,12 @@ def _suite_multiplier_axioms(params):
         digits, powers = window_digits(p, lo, hi)
         add_id = add_table(digits, powers, p)
         bi_cx = None
-        first = table[add_id] != (table[:, None, :] + table[None, :, :]) % p
-        second = table[:, add_id] != (table[:, :, None] + table[:, None, :]) % p
-        skew = (table + table.T) % p
-        if first.any() or second.any() or skew.any() or table.diagonal().any():
-            bi_cx = {"first": bool(first.any()), "second": bool(second.any()),
-                     "skew": bool(skew.any())}
+        sums = np.empty((size, size, size), dtype=np.uint8)
+        first = not np.array_equal(table[add_id], add_mod(table[:, None], table[None], p, sums))
+        second = not np.array_equal(table[:, add_id], add_mod(table[:, :, None], table[:, None], p, sums))
+        skew = add_mod(table, table.T, p, sums[0]).any()
+        if first or second or skew or table.diagonal().any():
+            bi_cx = {"first": first, "second": second, "skew": bool(skew)}
         out.append(_check("omega2-bicharacter", cfg, 2 * size ** 3 + size * size, bi_cx))
         return out
 
@@ -915,17 +924,8 @@ def _suite_heisenberg(params):
     base = len(coords) ** 3
     cfg = {"p": p, "window": [a_lo, a_hi], "elements": base, "closure_elements": size}
 
-    mul = np.zeros((size, size), dtype=np.int64)
-    closure_cx = None
-    for i, g in enumerate(elems):
-        for j, h in enumerate(elems):
-            got = ids.get(heis_mul(g, h))
-            if got is None:
-                closure_cx = {"i": i, "j": j}
-                break
-            mul[i, j] = got
-        if closure_cx:
-            break
+    mul, miss = closure_table(elems, heis_mul, ids)
+    closure_cx = {"i": miss[0], "j": miss[1]} if miss else None
     checks.append(_check("mul-closure", cfg, size * size, closure_cx))
     if closure_cx is None:
         e_id = ids[HeisElem(1, (zero,), (zero,), zero)]
@@ -941,10 +941,10 @@ def _suite_heisenberg(params):
                 break
         checks.append(_check("inverses", cfg, 2 * size, inv_cx))
 
-        bad = mul[mul] != mul[:, mul]
+        triple = first_nonassociative(mul)
         assoc_cx = None
-        if bad.any():
-            i, j, k = (int(v) for v in np.argwhere(bad)[0])
+        if triple:
+            i, j, k = triple
             assoc_cx = {"g": heis_to_json(elems[i]), "h": heis_to_json(elems[j]),
                         "k": heis_to_json(elems[k])}
         checks.append(_check("associativity", cfg, size ** 3, assoc_cx))

@@ -88,6 +88,59 @@ def add_table(digits, powers, card):
     return ((digits[:, None, :] + digits[None, :, :]) % card) @ powers
 
 
+def closure_table(elems, product, ids):
+    """The group table mul[i, j] = ids[product(elems[i], elems[j])], in the
+    narrowest unsigned dtype that holds every id, so that the associativity
+    gathers cost a byte per triple on tables of up to 256 elements.
+
+    Returns (mul, miss): miss is (i, j, product) for the first pair in row
+    order whose product has no id, with mul filled up to it, or None.
+    """
+    import numpy as np
+
+    size = len(elems)
+    mul = np.zeros((size, size), dtype=np.min_scalar_type(size - 1))
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            c = product(a, b)
+            got = ids.get(c)
+            if got is None:
+                return mul, (i, j, c)
+            mul[i, j] = got
+    return mul, None
+
+
+def first_nonassociative(mul):
+    """(i, j, k) of the first triple in C order with (ij)k != i(jk) in a group
+    table, or None."""
+    import numpy as np
+
+    bad = mul[mul] != mul[:, mul]
+    if not bad.any():
+        return None
+    return tuple(int(v) for v in np.argwhere(bad)[0])
+
+
+def add_mod(a, b, m, out):
+    """(a + b) mod m into the uint8 buffer out, for uint8 tables a and b whose
+    entries are below m <= 256; out may be a or b.
+
+    The sum s < 2m reduces as min(s, s - m): s - m wraps above s exactly when
+    s < m.  That needs 2(m - 1) to fit the lane, so for m > 128 the sum is
+    formed in uint16 lanes.
+    """
+    import numpy as np
+
+    if 2 * (m - 1) > 255:
+        s = np.add(a, b, dtype=np.uint16)
+        np.minimum(s, s - np.uint16(m), out=s)
+        np.copyto(out, s, casting="unsafe")
+        return out
+    np.add(a, b, out=out)
+    np.minimum(out, out - np.uint8(m), out=out)
+    return out
+
+
 def parallel_map(fn, items, _workers=None):
     """fn applied to each item, in order.
 

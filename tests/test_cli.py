@@ -284,6 +284,10 @@ def test_parse_error_exits_two(capsys):
     ["verdict", "--spec", Z1_SPEC, "--depth", "5000"],
     ["verify", "verdict-thm56", "--params", '{"depth":5000}'],
     ["verify", "extension-group", "--params", '{"configs":[{"p":5,"support":[1]}]}'],
+    ["verify", "duality-iso", "--params", '{"configs":[[131,1]],"window":[-1,1]}'],
+    ["verify", "duality-iso", "--params", '{"configs":[[3,2]],"samples":40000}'],
+    ["verify", "duality-iso", "--params", '{"configs":[[3,2]],"samples":-1}'],
+    ["verify", "duality-iso", "--params", '{"configs":[[2,1]],"window":[-30,30]}'],
 ])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, "--json", *argv)

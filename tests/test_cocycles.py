@@ -17,7 +17,9 @@ from contracta import (
     laurent,
     theta,
 )
-from contracta.cocycles import cocycle_from_json, cocycle_to_json
+from contracta import cocycles
+from contracta.cocycles import cocycle_from_json, cocycle_to_json, law_masks, packed_law_verdicts
+from contracta.sweep import add_table, window_digits
 
 M2 = Modulus(2, 1)
 M3 = Modulus(3, 1)
@@ -156,3 +158,112 @@ def test_check_cocycle_laws_report():
 def test_check_cocycle_laws_empty_support():
     rep = check_cocycle_laws(CocycleSpec(3, ()), 0, 2)
     assert rep["pass"] is True
+
+
+# ------------------------------------------------ packed law checks vs % p
+
+def _bilinear_table(p, lo, hi, e_width, rng):
+    """A uint8 eta-like table [x, y, lane] that is bilinear in each lane, so
+    every law holds, with rows padded to whole 8-byte words."""
+    import numpy as np
+
+    digits, _ = window_digits(p, lo, hi)
+    forms = rng.integers(0, p, (e_width, hi - lo, hi - lo))
+    tab = np.einsum("iu,luv,jv->ijl", digits, forms, digits) % p
+    packed = np.zeros(tab.shape[:2] + (-(-e_width // 8) * 8,), dtype=np.uint8)
+    packed[:, :, :e_width] = tab
+    return packed
+
+
+@pytest.mark.parametrize("p, lo, hi", [(2, 0, 3), (3, -1, 1), (5, 0, 2), (127, 0, 1), (131, 0, 1)])
+def test_packed_law_verdicts_agree_with_mod_p(p, lo, hi):
+    import numpy as np
+
+    rng = np.random.default_rng(p)
+    digits, powers = window_digits(p, lo, hi)
+    add_id = add_table(digits, powers, p)
+    # on the p-element windows, only the widths at the 8-byte pad boundary
+    for e_width in range(1, 10) if p < 100 else (1, 8, 9):
+        packed = _bilinear_table(p, lo, hi, e_width, rng)
+        tab = packed[:, :, :e_width]
+        assert packed_law_verdicts(packed, add_id, p) == (True, True, True)
+        if p < 100:
+            assert not any(mask.any() for mask in law_masks(tab, add_id, p))
+        # one wrong entry leaves no table additive in both slots
+        i, j = rng.integers(0, len(add_id), 2)
+        lane = rng.integers(0, e_width)
+        tab[i, j, lane] = (tab[i, j, lane] + rng.integers(1, p)) % p
+        got = packed_law_verdicts(packed, add_id, p)
+        assert got == tuple(not mask.any() for mask in law_masks(tab, add_id, p))
+        assert got != (True, True, True)
+
+
+def _plant(monkeypatch, fault):
+    """Add the coefficient map fault(x, y) to every eta value."""
+    true_eta = cocycles.eta
+
+    def faulty(spec, x, y):
+        extra = fault(x, y)
+        e = true_eta(spec, x, y)
+        return lau_add(e, laurent(x.modulus, extra)) if extra else e
+
+    monkeypatch.setattr(cocycles, "eta", faulty)
+
+
+def _law_reports(rep):
+    return {entry["law"]: (entry["status"], entry["counterexample"]) for entry in rep["laws"]}
+
+
+def test_planted_fault_fails_additivity_first(monkeypatch):
+    # x0^2 y0 is linear in y but not in x over F_3
+    _plant(monkeypatch, lambda x, y: {1: x.coeff(0) ** 2 * y.coeff(0) % 3})
+    rep = check_cocycle_laws(CocycleSpec(3, (1,)), 0, 2)
+    assert (rep["pairs_checked"], rep["triples_checked"], rep["pass"]) == (81, 729, False)
+    one = "1*t^0 @ p=3^1"
+    assert _law_reports(rep) == {
+        "additivity-first": ("fail", {"x": one, "x2": one, "y": one,
+                                      "lhs": "1*t^1 @ p=3^1", "rhs": "2*t^1 @ p=3^1"}),
+        "additivity-second": ("pass", None),
+        "shift-equivariance": ("fail", {"x": one, "y": one,
+                                        "lhs": "0 @ p=3^1", "rhs": "1*t^2 @ p=3^1"}),
+        "cocycle-identity": ("fail", {"x": one, "y": one, "z": one,
+                                      "lhs": "2*t^1 @ p=3^1", "rhs": "0 @ p=3^1"}),
+    }
+
+
+def test_planted_fault_fails_additivity_second(monkeypatch):
+    _plant(monkeypatch, lambda x, y: {1: x.coeff(0) * y.coeff(0) ** 2 % 3})
+    rep = check_cocycle_laws(CocycleSpec(3, (1,)), 0, 2)
+    assert (rep["pairs_checked"], rep["triples_checked"], rep["pass"]) == (81, 729, False)
+    one = "1*t^0 @ p=3^1"
+    assert _law_reports(rep) == {
+        "additivity-first": ("pass", None),
+        "additivity-second": ("fail", {"x": one, "y": one, "y2": one,
+                                       "lhs": "1*t^1 @ p=3^1", "rhs": "2*t^1 @ p=3^1"}),
+        "shift-equivariance": ("fail", {"x": one, "y": one,
+                                        "lhs": "0 @ p=3^1", "rhs": "1*t^2 @ p=3^1"}),
+        "cocycle-identity": ("fail", {"x": one, "y": one, "z": one,
+                                      "lhs": "0 @ p=3^1", "rhs": "2*t^1 @ p=3^1"}),
+    }
+
+
+def test_planted_fault_fails_cocycle_identity(monkeypatch):
+    # one pair's value gains t^8: lane 8 of a 9-lane table, in the second word
+    a, b = laurent(M3, {0: 1, 1: 2}), laurent(M3, {-1: 2, 2: 1})
+    _plant(monkeypatch, lambda x, y: {8: 1} if (x, y) == (a, b) else None)
+    rep = check_cocycle_laws(CocycleSpec(3, (1, 2, 3, 4, 5, 6)), -1, 3)
+    assert (rep["pairs_checked"], rep["triples_checked"], rep["pass"]) == (6561, 531441, False)
+    assert _law_reports(rep) == {
+        "additivity-first": ("fail", {
+            "x": "1*t^-1 @ p=3^1", "x2": "1*t^0 + 2*t^1 @ p=3^1", "y": "2*t^-1 + 1*t^2 @ p=3^1",
+            "lhs": "1*t^1 @ p=3^1", "rhs": "1*t^1 + 1*t^8 @ p=3^1"}),
+        "additivity-second": ("fail", {
+            "x": "1*t^0 + 2*t^1 @ p=3^1", "y": "1*t^-1 @ p=3^1", "y2": "1*t^-1 + 1*t^2 @ p=3^1",
+            "lhs": "1*t^1 + 1*t^8 @ p=3^1", "rhs": "1*t^1 @ p=3^1"}),
+        "shift-equivariance": ("fail", {
+            "x": "1*t^0 + 2*t^1 @ p=3^1", "y": "2*t^-1 + 1*t^2 @ p=3^1",
+            "lhs": "1*t^2 @ p=3^1", "rhs": "1*t^2 + 1*t^9 @ p=3^1"}),
+        "cocycle-identity": ("fail", {
+            "x": "1*t^-1 @ p=3^1", "y": "1*t^0 + 2*t^1 @ p=3^1", "z": "2*t^-1 + 1*t^2 @ p=3^1",
+            "lhs": "2*t^0 + 1*t^1 @ p=3^1", "rhs": "2*t^0 + 1*t^1 + 1*t^8 @ p=3^1"}),
+    }

@@ -1,5 +1,6 @@
 """Character pairing, dual shift action, contraction times, block groups."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,8 @@ from contracta import (
     laurent,
     padic,
     poly,
+    text_to_series,
+    torus_from_fraction,
     torus_mul,
 )
 from contracta.duality import (
@@ -76,6 +79,38 @@ def test_chi_tail_against_finite():
     x = lau_monomial(M2, 3, 1)
     assert chi_char(y, x).turns == Fraction(1, 2)
     assert chi_char(y, lau_monomial(M2, 6, 1)).is_identity()
+
+
+def _chi_dense(y, x):
+    """The pairing summed slot by slot over every j where x_j and y_-j can
+    both be nonzero: the reference for chi_char."""
+    exponent = 0
+    for j in range(int(x.valuation), -int(y.valuation) + 1):
+        exponent += x.coeff(j) * y.coeff(-j)
+    return torus_from_fraction(exponent, x.modulus.n, x.modulus.p)
+
+
+def test_chi_finite_index_on_tailed_argument_agrees_with_dense_sum():
+    rng = random.Random(20261020)
+    for mod in (M2, M3, M9):
+        for _ in range(150):
+            y = laurent(mod, {rng.randint(-12, 6): rng.randrange(1, mod.card)
+                              for _ in range(rng.randint(1, 4))})
+            start = rng.randint(-8, 8)
+            pattern = tuple(rng.randrange(mod.card) for _ in range(rng.randint(1, 3)))
+            head = {rng.randint(start - 6, start - 1): rng.randrange(mod.card) for _ in range(2)}
+            x = laurent(mod, head, tail=(start, pattern))
+            if not x.is_zero():
+                assert chi_char(y, x) == _chi_dense(y, x)
+
+
+def test_chi_wide_finite_index_on_tailed_argument_returns_at_once():
+    # the index has one term, so the pairing costs one coefficient lookup,
+    # not one per slot of the 6e8-wide span between the two valuations
+    y = text_to_series("1*t^-300000000 @ p=2^1")
+    x = text_to_series("per[1]*t^{>=-300000000} @ p=2^1")
+    assert chi_char(y, x).turns == Fraction(1, 2)
+    assert chi_char(x, y).turns == Fraction(1, 2)
 
 
 @given(finite_series(M3, -2, 3), finite_series(M3, -2, 3), finite_series(M3, -2, 3))

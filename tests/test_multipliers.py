@@ -274,6 +274,21 @@ def test_type_i_verdict_frozen():
     assert data["witnesses"][1] == {"q": -1, "h_image": "1*t^3 @ p=2^1"}
 
 
+@pytest.mark.parametrize("m, depth, top", [(TAIL, 12, 0), (POLE, 12, 2), (POLE, 2, 2)])
+def test_type_i_verdict_probes_each_monomial_once(monkeypatch, m, depth, top):
+    # one h_omega image per q from max S - nu(z) down to -depth
+    real = multipliers.h_omega
+    probed = []
+
+    def counted(spec, x):
+        probed.append(int(x.valuation))
+        return real(spec, x)
+
+    monkeypatch.setattr(multipliers, "h_omega", counted)
+    assert type_i_verdict(m, depth).to_json()["K"] == top
+    assert probed == list(range(top, -depth - 1, -1))
+
+
 @pytest.mark.parametrize("depth", [-5, 0, 1])
 def test_type_i_verdict_refuses_depth_below_two(depth):
     with pytest.raises(InvalidParams):

@@ -165,6 +165,52 @@ def test_planted_ext_mul_fault_fails_shift_automorphism(monkeypatch):
                                        "b": "(0 @ p=2^1 | 1*t^-1 @ p=2^1)"}
 
 
+def test_planted_ext_mul_fault_fails_associativity(monkeypatch):
+    spec = CocycleSpec(2, (1,))
+    a = ExtElem(spec, lau_monomial(M2, 0, 1), lau_monomial(M2, 1, 1))
+    b = ExtElem(spec, lau_monomial(M2, -1, 1), lau_monomial(M2, 0, 1))
+    g = ExtElem(spec, lau_monomial(M2, 1, 1), lau_zero(M2))
+    real = suites.ext_mul
+
+    def faulty(x, y):
+        # a*b becomes (a*b)*g, another element of the closed window
+        return real(real(x, y), g) if (x, y) == (a, b) else real(x, y)
+
+    monkeypatch.setattr(suites, "ext_mul", faulty)
+    rep = run_suite("extension-group", {"configs": [{"p": 2, "support": [1]}]})
+    assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == [
+        "associativity", "shift-automorphism"]
+    check = _check_named(rep, "associativity")
+    assert check["checked"] == 64 ** 3
+    assert check["counterexample"] == {"a": "(0 @ p=2^1 | 1*t^-1 @ p=2^1)",
+                                       "b": "(0 @ p=2^1 | 1*t^-1 + 1*t^1 @ p=2^1)",
+                                       "c": "(1*t^-1 @ p=2^1 | 1*t^0 @ p=2^1)"}
+
+
+def test_planted_heis_mul_fault_fails_associativity(monkeypatch):
+    zero, one = lau_zero(M2), lau_monomial(M2, 0, 1)
+    g = HeisElem(1, (one,), (zero,), zero)
+    h = HeisElem(1, (zero,), (one,), zero)
+    central = HeisElem(1, (zero,), (zero,), lau_monomial(M2, 1, 1))
+    real = suites.heis_mul
+
+    def faulty(x, y):
+        return real(real(x, y), central) if (x, y) == (g, h) else real(x, y)
+
+    monkeypatch.setattr(suites, "heis_mul", faulty)
+    rep = run_suite("heisenberg", {"axioms_window": [0, 1], "pullback_window": [0, 1]})
+    assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == ["associativity"]
+    check = _check_named(rep, "associativity")
+    assert check["checked"] == 16 ** 3
+
+    def elem(xi, ups, z):
+        return {"n": 1, "p": 2, "xi": [{"finite": xi, "n": 1, "p": 2}],
+                "upsilon": [{"finite": ups, "n": 1, "p": 2}], "z": {"finite": z, "n": 1, "p": 2}}
+
+    assert check["counterexample"] == {"g": elem({}, {}, {"0": 1}), "h": elem({"0": 1}, {}, {}),
+                                       "k": elem({}, {"0": 1}, {})}
+
+
 def test_planted_eta_fault_fails_shift_equivariance(monkeypatch):
     t2 = lau_monomial(M2, 2, 1)
     real = cocycles.eta
