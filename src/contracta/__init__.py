@@ -33,12 +33,12 @@ _EXPORTS = {
         "dual_action_E", "dual_action_T", "nonclosed_orbit_witness",
     ),
     "extensions": (
-        "ExtElem", "derived_witness", "ext_alpha", "ext_commutator", "ext_elem", "ext_identity",
-        "ext_inv", "ext_mul", "predicted_monomial_commutator",
+        "ExtElem", "derived_witness", "ext_alpha", "ext_commutator", "ext_elem", "ext_inv",
+        "ext_mul", "predicted_monomial_commutator",
     ),
     "heisenberg": (
-        "HeisElem", "OrbitDesc", "heis_char", "heis_dual_action", "heis_elem", "heis_identity",
-        "heis_inv", "heis_mul", "lau_div", "n_slice", "orbit_description",
+        "HeisElem", "OrbitDesc", "heis_char", "heis_dual_action", "heis_inv", "heis_mul",
+        "lau_div", "n_slice", "orbit_description",
     ),
     "laurent": (
         "LaurentElem", "lau_add", "lau_monomial", "lau_mul", "lau_neg", "lau_scale", "lau_shift",
@@ -52,7 +52,7 @@ _EXPORTS = {
     ),
     "padic": (
         "PadicElem", "PolyData", "companion_matrix", "contractivity_certificate", "dual_companion",
-        "frac_part", "int_part", "padic", "poly", "psi_char",
+        "padic", "poly",
     ),
     "scalars": (
         "Modulus", "TorusElem", "gf_rank", "is_prime", "torus_from_fraction", "torus_identity",

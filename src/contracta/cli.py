@@ -50,11 +50,6 @@ SUITE_NAMES = (
 )
 
 
-def parse_series(text):
-    """Parse a series literal; the canonical printer inverts it exactly."""
-    return text_to_series(text)
-
-
 def spec_from_obj(obj):
     if not isinstance(obj, dict):
         raise SchemaError("spec must be a JSON object")
@@ -149,18 +144,18 @@ def _cocycle_from_args(args):
 
 
 def _cmd_eval(args):
-    x = parse_series(args.series)
+    x = text_to_series(args.series)
     ops = [name for name in ("add", "sub", "mul") if getattr(args, name) is not None]
     ops += [name for name in ("shift", "scale") if getattr(args, name) is not None]
     if len(ops) > 1:
         raise InvalidParams("at most one operation per eval call")
     result = x
     if args.add is not None:
-        result = lau_add(x, parse_series(args.add))
+        result = lau_add(x, text_to_series(args.add))
     elif args.sub is not None:
-        result = lau_sub(x, parse_series(args.sub))
+        result = lau_sub(x, text_to_series(args.sub))
     elif args.mul is not None:
-        result = lau_mul(x, parse_series(args.mul))
+        result = lau_mul(x, text_to_series(args.mul))
     elif args.shift is not None:
         result = lau_shift(x, args.shift)
     elif args.scale is not None:
@@ -175,8 +170,8 @@ def _cmd_eval(args):
 def _cmd_char(args):
     from .duality import chi_char, dual_action_T
 
-    y = parse_series(args.index)
-    x = parse_series(args.argument)
+    y = text_to_series(args.index)
+    x = text_to_series(args.argument)
     if args.dual_shift:
         y = dual_action_T(args.dual_shift, y)
     return {
@@ -196,8 +191,8 @@ def _cmd_cocycle(args):
         return report, bool(report["pass"])
     if args.x is None or args.y is None:
         raise InvalidParams("series arguments X and Y are required unless --laws is given")
-    x = parse_series(args.x)
-    y = parse_series(args.y)
+    x = text_to_series(args.x)
+    y = text_to_series(args.y)
     if args.theta is not None:
         value = theta(args.theta, x, y)
         label = {"theta_shift": args.theta}
@@ -289,12 +284,12 @@ def _cmd_multiplier(args):
         return report, bool(report["pass"])
     if args.mackey is not None:
         lo, hi = _window_arg(args.mackey, "--mackey")
-        report = mackey_identity_check(m, lo, hi, method=args.method)
+        report = mackey_identity_check(m, lo, hi)
         return report, bool(report["pass"])
     if args.x is None or args.y is None:
         raise InvalidParams("series arguments X and Y are required unless --axioms/--mackey is given")
-    x = parse_series(args.x)
-    y = parse_series(args.y)
+    x = text_to_series(args.x)
+    y = text_to_series(args.y)
     value2 = omega2(m, x, y)
     closed = omega2_closed_form(m, x, y)
     ok = value2 == closed
@@ -330,7 +325,7 @@ def _cmd_s_omega(args):
         }, True
     if args.x is None:
         raise InvalidParams("a series argument X or a --window is required")
-    x = parse_series(args.x)
+    x = text_to_series(args.x)
     image = h_omega(m, x)
     return {
         "multiplier": multiplier_to_json(m),
@@ -461,9 +456,6 @@ def build_parser():
     p.add_argument("--spec", required=True, help="inline JSON or path: {cocycle, z}")
     _window_pair(p, "--axioms", "check (M1)/(M2) on W(LO, HI)")
     _window_pair(p, "--mackey", "check the obstruction identity on W(LO, HI)")
-    p.add_argument("--method", choices=["auto", "direct", "table"], default="auto",
-                   help="how --mackey evaluates: auto means table; direct multiplies "
-                        "every pair and serves as the oracle")
     p.add_argument("x", nargs="?")
     p.add_argument("y", nargs="?")
     p.set_defaults(handler=_cmd_multiplier)

@@ -17,12 +17,8 @@ from .errors import (
     ZeroCharacter,
 )
 from .laurent import LaurentElem, lau_monomial, lau_shift
-from .padic import PadicElem, PolyData, dual_companion, min_entry_valuation, poly_from_json, poly_to_json
+from .padic import PadicElem, PolyData, dual_companion, min_entry_valuation, poly_from_json
 from .scalars import Modulus, torus_from_fraction
-
-# A character index is just a series: y stands for chi_y.
-CharIndex = LaurentElem
-
 
 def chi_char(y, x):
     """Evaluate chi_y(x) exactly as a torus element."""
@@ -162,16 +158,6 @@ def block_spec_from_json(obj):
         except (TypeError, ValueError):
             raise SchemaError(f"malformed {kind} block {entry!r}") from None
     return BlockSpec(tuple(blocks))
-
-
-def block_spec_to_json(spec):
-    out = []
-    for b in spec.blocks:
-        if isinstance(b, TBlock):
-            out.append({"kind": "T", "p": b.p, "n": b.n, "mult": b.mult})
-        else:
-            out.append({"kind": "E", "p": b.p, "poly": poly_to_json(b.poly)["coeffs"], "mult": b.mult})
-    return {"blocks": out}
 
 
 @dataclass(frozen=True)

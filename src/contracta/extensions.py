@@ -41,10 +41,6 @@ class ExtElem:
         if self.x.has_tail():
             raise UnsupportedOperands("second slot must be finitely supported")
 
-    @property
-    def is_identity(self):
-        return self.w.is_zero() and self.x.is_zero()
-
     def as_text(self):
         return f"({series_to_text(self.w)} | {series_to_text(self.x)})"
 
@@ -53,11 +49,6 @@ def ext_elem(spec, w_coeffs, x_coeffs):
     """Convenience constructor from coefficient dicts."""
     m = spec.modulus
     return ExtElem(spec, laurent(m, w_coeffs), laurent(m, x_coeffs))
-
-
-def ext_identity(spec):
-    z = lau_zero(spec.modulus)
-    return ExtElem(spec, z, z)
 
 
 def ext_mul(a, b):

@@ -23,7 +23,7 @@ from .laurent import (
     series_from_json,
     series_to_json,
 )
-from .scalars import Modulus, torus_mul
+from .scalars import torus_mul
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,6 @@ class HeisElem:
     @property
     def p(self):
         return self.z.modulus.p
-
-
-def heis_elem(p, xi, upsilon, z):
-    """Constructor from coefficient dicts (one per coordinate)."""
-    m = Modulus(p, 1)
-    return HeisElem(
-        len(xi),
-        tuple(laurent(m, c) for c in xi),
-        tuple(laurent(m, c) for c in upsilon),
-        laurent(m, z),
-    )
-
-
-def heis_identity(dim, p):
-    z = lau_zero(Modulus(p, 1))
-    return HeisElem(dim, (z,) * dim, (z,) * dim, z)
 
 
 def _same_shape(g, h):

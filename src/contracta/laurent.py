@@ -11,7 +11,7 @@ from functools import cached_property
 from math import gcd, inf
 
 from .errors import InvariantViolation, MixedModulus, ParseError, SchemaError, UnsupportedOperands
-from .scalars import Modulus, Scalar
+from .scalars import Modulus
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,6 @@ class LaurentElem:
             start, pattern = self.tail
             return pattern[(i - start) % len(pattern)]
         return self._fdict.get(i, 0)
-
-    def coefficient(self, i):
-        return Scalar(self.modulus, self.coeff(i))
 
     def is_zero(self):
         return not self.finite and self.tail is None
@@ -212,10 +209,6 @@ def lau_mul(x, y):
 def lau_valuation(x):
     """Least index with nonzero coefficient; +inf for the zero series."""
     return x.valuation
-
-
-def lau_equal_modulo_window(x, y, lo, hi):
-    return all(x.coeff(i) == y.coeff(i) for i in range(lo, hi))
 
 
 # --- text grammar ---------------------------------------------------------

@@ -248,25 +248,23 @@ def _chi_exponent(z, w):
     return _turn_exponent(chi_char(z, w))
 
 
-def mackey_identity_check(m, lo, hi, method="auto"):
+def mackey_identity_check(m, lo, hi, method="table"):
     """Check the obstruction identity over all pairs of extension elements
     with both slots in W(lo, hi):
 
         chi'(g) chi'(h) = conj(chi_z)(eta(q g, q h)) * chi'(g h)
 
-    where chi'(w, x) = chi_z(w) and q(w, x) = x.  The table method (what
-    "auto" runs) evaluates chi_z once per window element and eta once per
-    pair of x slots, then decides every pair from those exponents; the direct
-    method multiplies the group elements pair by pair and is kept as the
-    oracle the tests compare the table method against.
+    where chi'(w, x) = chi_z(w) and q(w, x) = x.  The table method evaluates
+    chi_z once per window element and eta once per pair of x slots, then
+    decides every pair from those exponents; the direct method multiplies the
+    group elements pair by pair and is kept as the oracle the tests compare
+    the table method against.
     """
     import numpy as np
 
     p = m.s.p
     mod = m.s.modulus
     spec = m.s
-    if method == "auto":
-        method = "table"
     if method not in ("direct", "table"):
         raise ValueError(f"unknown method {method!r}")
     n_slot = window_size(p, lo, hi)

@@ -1,4 +1,4 @@
-"""Truncated Q_p arithmetic, fractional parts, and companion matrices with their transposes.
+"""Truncated Q_p arithmetic and companion matrices with their transposes.
 
 An element is stored as a canonical rational representative together with the
 precision exponent N meaning "known modulo p^N" (N = None meaning exact). All
@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import inf
 
 from .errors import InsufficientPrecision, InvariantViolation, MixedPrime, ParseError, SchemaError
-from .scalars import TorusElem, is_prime, torus_from_fraction
+from .scalars import is_prime
 
 
 def _vp_int(a, p):
@@ -36,9 +36,6 @@ class PadicElem:
     p: int
     frac: Fraction  # canonical representative of the congruence class
     prec: int | None  # known modulo p^prec; None means exact
-
-    def is_exact(self):
-        return self.prec is None
 
     def is_exact_zero(self):
         return self.prec is None and self.frac == 0
@@ -93,10 +90,6 @@ def pneg(x):
     return padic(x.p, -x.frac, x.prec)
 
 
-def psub(x, y):
-    return padd(x, pneg(y))
-
-
 def pmul(x, y):
     _check_p(x, y)
     nx = inf if x.prec is None else x.prec
@@ -112,32 +105,6 @@ def pval(x):
     if not x.val_certain():
         raise InsufficientPrecision(f"valuation of {x} not determined at precision {x.prec}")
     return x.val_lower_bound()
-
-
-def frac_part(x):
-    """The fractional part {x} = sum of digits below index 0, as (num, exp) with {x} = num/p^exp."""
-    if x.prec is not None and x.prec < 0:
-        raise InsufficientPrecision(f"digits below 0 of {x} not all determined")
-    v = _vp_frac(x.frac, x.p)
-    if v >= 0:
-        return (0, 0)
-    e = -int(v)
-    u = x.frac * x.p ** e
-    mod = x.p ** e
-    num = u.numerator % mod * pow(u.denominator, -1, mod) % mod
-    return (num, e)
-
-
-def int_part(x):
-    """Complement of frac_part: x minus its fractional part, precision preserved."""
-    num, e = frac_part(x)
-    return padic(x.p, x.frac - Fraction(num, x.p ** e), x.prec)
-
-
-def psi_char(y, x):
-    """The character value e^{2 pi i {yx}} of the standard character at y evaluated at x."""
-    num, e = frac_part(pmul(y, x))
-    return torus_from_fraction(num, e, x.p) if e else TorusElem(x.p, 0, 0)
 
 
 # --- polynomials and matrices ----------------------------------------------
@@ -178,10 +145,6 @@ def poly_from_json(obj):
     if "m" in obj and int(obj["m"]) != g.m:
         raise SchemaError(f"declared degree {obj['m']} != len(coeffs) {g.m}")
     return g
-
-
-def poly_to_json(g):
-    return {"p": g.p, "m": g.m, "coeffs": [padic_to_text(a) for a in g.coeffs]}
 
 
 @dataclass(frozen=True)

@@ -3,21 +3,44 @@
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantViolation, MixedModulus, MixedPrime
+from .errors import InvariantViolation, MixedPrime
+
+
+# The first twelve primes.  Miller-Rabin with all of them as bases decides
+# primality exactly below _MR_BOUND (Sorenson and Webster, 2015).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318_665_857_834_031_151_167_461
 
 
 def is_prime(p):
+    """Exact primality of an int; raises InvariantViolation from _MR_BOUND on."""
     if not isinstance(p, int) or p < 2:
         return False
-    if p < 4:
+    if p < 4:  # the torus checks p on every value, and p is mostly 2 or 3
         return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p <= 37:
+        return p in _SMALL_PRIMES
+    for q in _SMALL_PRIMES:
+        if p % q == 0:
             return False
-        d += 2
+    if p < 41 * 41:  # a composite below 41^2 has a prime factor up to 37
+        return True
+    if p >= _MR_BOUND:
+        raise InvariantViolation(f"p = {p} is past the primality bound {_MR_BOUND}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
     return True
 
 
@@ -36,48 +59,8 @@ class Modulus:
     def card(self):
         return self.p ** self.n
 
-    def scalar(self, value):
-        return Scalar(self, value % self.card)
-
     def __str__(self):
         return f"{self.p}^{self.n}"
-
-
-@dataclass(frozen=True)
-class Scalar:
-    modulus: Modulus
-    value: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.modulus.card:
-            raise InvariantViolation(
-                f"scalar value {self.value} out of range [0, {self.modulus.card})"
-            )
-
-    def _check(self, other):
-        if self.modulus != other.modulus:
-            raise MixedModulus(f"{self.modulus} vs {other.modulus}")
-
-    def __add__(self, other):
-        self._check(other)
-        return Scalar(self.modulus, (self.value + other.value) % self.modulus.card)
-
-    def __sub__(self, other):
-        self._check(other)
-        return Scalar(self.modulus, (self.value - other.value) % self.modulus.card)
-
-    def __mul__(self, other):
-        self._check(other)
-        return Scalar(self.modulus, (self.value * other.value) % self.modulus.card)
-
-    def __neg__(self):
-        return Scalar(self.modulus, -self.value % self.modulus.card)
-
-    def is_zero(self):
-        return self.value == 0
-
-    def __str__(self):
-        return f"{self.value} mod {self.modulus}"
 
 
 @dataclass(frozen=True)
@@ -144,13 +127,8 @@ def torus_inv(a):
     return a.inv()
 
 
-TORUS_ONE = {}
-
-
 def torus_identity(p):
-    if p not in TORUS_ONE:
-        TORUS_ONE[p] = TorusElem(p, 0, 0)
-    return TORUS_ONE[p]
+    return TorusElem(p, 0, 0)
 
 
 def gf_rank(rows, p):

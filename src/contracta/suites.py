@@ -118,6 +118,14 @@ def _int(params, key):
         raise InvalidParams(f"{key} must be an integer, got {params[key]!r}") from None
 
 
+def _count(params, key):
+    """params[key] as an integer, refusing a negative one."""
+    value = _int(params, key)
+    if value < 0:
+        raise InvalidParams(f"{key} must be >= 0, got {value}")
+    return value
+
+
 def _list(params, key):
     """params[key], refusing anything but a list."""
     value = params[key]
@@ -140,9 +148,7 @@ def _supports(params, jobs_per_support, what):
 
     Refuses a negative max_support, and a sweep of 2^max_support supports times
     jobs_per_support whose size exceeds the work limit, before enumerating."""
-    top = _int(params, "max_support")
-    if top < 0:
-        raise InvalidParams(f"max_support must be >= 0, got {top}")
+    top = _count(params, "max_support")
     # listing the supports is work even with no jobs; min() keeps the estimate
     # cheap to form, and 2^64 supports exceed the limit anyway
     check_work(what, (1 << min(top, 64)) * max(1, jobs_per_support), 0)
@@ -225,9 +231,7 @@ def _suite_duality_iso(params):
         full = size if size <= table_limit else window_size(card, -1, 1)
         check_work("duality-iso additivity", full ** 2, full ** 3)
         if size > table_limit:
-            n_samples = _int(params, "samples")
-            if n_samples < 0:
-                raise InvalidParams(f"samples must be >= 0, got {n_samples}")
+            n_samples = _count(params, "samples")
             check_work("duality-iso sampled additivity", 3 * n_samples, 0)
         elems = window_elements(mod, lo, hi)
         cfg = {"p": mod.p, "n": mod.n, "window": [lo, hi], "elements": size}
@@ -286,16 +290,19 @@ def _additivity_full(mod, elems, lo, hi):
             table[i, j] = _turn_mod_card(chi_char(y, x), mod)
     digits, powers = window_digits(mod.card, lo, hi)
     add_id = add_table(digits, powers, mod.card)
-    lhs = table[:, add_id]
-    bad = lhs != add_mod(table[:, :, None], table[:, None, :], mod.card, np.empty_like(lhs))
-    if not bad.any():
-        return None
-    i, j, k = (int(v) for v in np.argwhere(bad)[0])
-    return {
-        "x": series_to_text(elems[i]),
-        "y": series_to_text(elems[j]),
-        "z": series_to_text(elems[k]),
-    }
+    # one x row at a time, so only size^2 entries are live; rows in order
+    # keep the first counterexample in C order over (x, y, z)
+    rhs = np.empty((size, size), dtype=np.uint8)
+    for i, row in enumerate(table):
+        bad = row[add_id] != add_mod(row[:, None], row[None, :], mod.card, rhs)
+        if bad.any():
+            j, k = (int(v) for v in np.argwhere(bad)[0])
+            return {
+                "x": series_to_text(elems[i]),
+                "y": series_to_text(elems[j]),
+                "z": series_to_text(elems[k]),
+            }
+    return None
 
 
 def _additivity_sampled(mod, lo, hi, n_samples):
@@ -332,11 +339,20 @@ def _suite_dual_action(params):
     params = _merge(_DUAL_ACTION_DEFAULTS, params)
     lo, hi = _window(params["window"])
     k_lo, k_hi = _window(params["shift_range"], "shift_range")
+    samples = _count(params, "samples")
+    iters = _count(params, "iterations")
+    primes = sorted(_primes(params))
+    # one brute-force contraction time per sample, and ten iterated companion
+    # matvec chains per prime
+    check_work("dual-action contraction samples", samples, 0)
+    check_work("dual-action iterates", 10 * iters * len(primes), 0)
     checks = []
 
     for mod in _moduli(params["t_configs"], "t_configs"):
         # keep n = 2 windows small enough for an all-pairs direct sweep
         c_lo, c_hi = (lo, hi) if mod.n == 1 else (max(lo, -1), hi)
+        size = window_size(mod.card, c_lo, c_hi)
+        check_work("dual-action shift identity", 2 * (k_hi - k_lo + 1) * size ** 2, 0)
         elems = window_elements(mod, c_lo, c_hi)
         cfg = {"p": mod.p, "n": mod.n, "window": [c_lo, c_hi], "shifts": [k_lo, k_hi]}
         cx = None
@@ -355,14 +371,14 @@ def _suite_dual_action(params):
                 break
         checks.append(_check("shift-dual-identity", cfg, count, cx))
 
-    checks.append(_contraction_sample_check(params))
-    checks.extend(_transpose_formula_checks(params))
+    checks.append(_contraction_sample_check(params, samples))
+    checks.extend(_transpose_formula_checks(primes, iters))
     checks.append(_stabilizer_check())
     checks.append(_nonclosed_orbit_check())
     return _finish("dual-action", params, checks)
 
 
-def _contraction_sample_check(params):
+def _contraction_sample_check(params, samples):
     import numpy as np
 
     rng = np.random.default_rng(SEED + 1)
@@ -370,7 +386,7 @@ def _contraction_sample_check(params):
     moduli = _moduli(params["sample_configs"], "sample_configs")
     if not moduli:
         raise InvalidParams("sample_configs must be nonempty")
-    per = _int(params, "samples") // len(moduli)
+    per = samples // len(moduli)
     for mod in moduli:
         draws = rng.integers(0, mod.card, size=(per, 6))
         ks = rng.integers(-4, 5, size=per)
@@ -393,9 +409,7 @@ def _contraction_sample_check(params):
     return _check("contraction-time-brute", {"samples": len(jobs)}, len(jobs), cx)
 
 
-def _transpose_formula_checks(params):
-    iters = _int(params, "iterations")
-    primes = sorted(_primes(params))
+def _transpose_formula_checks(primes, iters):
     entry_cx = formula_cx = contract_cx = cert_cx = None
     entries = formulas = contracts = certs = 0
     for p in primes:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -288,6 +289,11 @@ def test_parse_error_exits_two(capsys):
     ["verify", "duality-iso", "--params", '{"configs":[[3,2]],"samples":40000}'],
     ["verify", "duality-iso", "--params", '{"configs":[[3,2]],"samples":-1}'],
     ["verify", "duality-iso", "--params", '{"configs":[[2,1]],"window":[-30,30]}'],
+    ["eval", "1*t^0 @ p=318665857834031151167461^1"],
+    ["verify", "dual-action", "--params", '{"samples":-5}'],
+    ["verify", "dual-action", "--params", '{"iterations":-3}'],
+    ["verify", "dual-action", "--params", '{"window":[-8,8]}'],
+    ["verify", "dual-action", "--params", '{"shift_range":[-100000000,100000000]}'],
 ])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, "--json", *argv)
@@ -295,6 +301,15 @@ def test_bad_input_is_one_error_line(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_large_prime_literal_returns_quickly(capsys):
+    # trial division up to the square root of this 19-digit prime ran unbounded
+    t0 = time.perf_counter()
+    code, report, _ = run_json(capsys, "eval", "1*t^0 @ p=1000000000000000003^1")
+    assert time.perf_counter() - t0 < 2
+    assert code == 0
+    assert report["results"]["result"]["json"]["p"] == 1000000000000000003
 
 
 _NUMPY_PROBE = """

@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from contracta import (
     DepthExceeded,
+    HeisElem,
     Modulus,
-    chi_char,
     heis_char,
     heis_dual_action,
-    heis_elem,
-    heis_identity,
     heis_inv,
     heis_mul,
     lau_div,
@@ -28,6 +26,13 @@ from contracta.heisenberg import heis_from_json, heis_to_json
 
 M2 = Modulus(2, 1)
 M3 = Modulus(3, 1)
+
+
+def heis_elem(p, xi, upsilon, z):
+    """The group element with coordinates given as coefficient dicts."""
+    m = Modulus(p, 1)
+    return HeisElem(len(xi), tuple(laurent(m, c) for c in xi), tuple(laurent(m, c) for c in upsilon),
+                    laurent(m, z))
 
 
 def coeff_dicts(p, lo=-1, hi=2):
@@ -59,7 +64,7 @@ def test_inv_hand_value():
     g = heis_elem(2, [{0: 1}], [{1: 1}], {0: 1})
     ginv = heis_inv(g)
     assert ginv.z == laurent(M2, {0: 1, 1: 1})
-    e = heis_identity(1, 2)
+    e = heis_elem(2, [{}], [{}], {})
     assert heis_mul(g, ginv) == e
     assert heis_mul(ginv, g) == e
 
@@ -76,7 +81,7 @@ def test_inverse_of_product(a, b):
 
 @given(heis_elements(3))
 def test_identity_laws(a):
-    e = heis_identity(1, 3)
+    e = heis_elem(3, [{}], [{}], {})
     assert heis_mul(e, a) == a
     assert heis_mul(a, e) == a
     assert heis_mul(a, heis_inv(a)) == e

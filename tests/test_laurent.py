@@ -27,7 +27,6 @@ from contracta import (
     series_to_text,
     text_to_series,
 )
-from contracta.laurent import lau_equal_modulo_window
 
 M2 = Modulus(2, 1)
 M3 = Modulus(3, 1)
@@ -262,13 +261,6 @@ def test_valuation_of_products_adds():
     x = lau_monomial(M3, 2, 2)
     y = lau_monomial(M3, -5, 1)
     assert lau_mul(x, y).valuation == -3
-
-
-def test_equal_modulo_window():
-    x = laurent(M2, {0: 1, 7: 1})
-    y = laurent(M2, {0: 1})
-    assert lau_equal_modulo_window(x, y, -2, 5)
-    assert not lau_equal_modulo_window(x, y, -2, 8)
 
 
 # ---------------------------------------------------------------- codecs

@@ -3,8 +3,10 @@ defining module holds."""
 
 import importlib
 import pkgutil
+import re
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -62,3 +64,19 @@ def test_rebinding_in_the_defining_module_is_seen_and_undone(monkeypatch):
     assert contracta.eta is wrapped
     monkeypatch.undo()
     assert contracta.eta is original
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # API that only the tests reach is deleted, so each public name must be
+    # used by the library itself (not just re-exported or defined), by a
+    # script, or by the benchmark
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for p in (root / "src" / "contracta").glob("*.py") if p.name != "__init__.py"]
+    paths += [*(root / "scripts").glob("*.py"), *(root / "bench").glob("*.py")]
+    lines = [line for p in paths for line in p.read_text(encoding="utf-8").splitlines()]
+    unused = [
+        name for name in contracta.__all__
+        if not any(re.search(rf"\b{name}\b", line) and not re.match(rf"\s*(def|class) {name}\b", line)
+                   for line in lines)
+    ]
+    assert unused == []

@@ -1,4 +1,4 @@
-"""p-adic scalars, the standard character, companion matrices and contraction."""
+"""p-adic scalars, companion matrices and contraction."""
 
 from fractions import Fraction
 from math import inf
@@ -11,11 +11,8 @@ from contracta import (
     companion_matrix,
     contractivity_certificate,
     dual_companion,
-    frac_part,
-    int_part,
     padic,
     poly,
-    psi_char,
 )
 from contracta.errors import InsufficientPrecision
 from contracta.padic import (
@@ -25,7 +22,6 @@ from contracta.padic import (
     padic_to_text,
     pmul,
     pneg,
-    psub,
     pval,
     text_to_padic,
 )
@@ -59,7 +55,7 @@ def test_exact_arithmetic_matches_fractions(a, b):
     # denominators coprime to 2 keep everything 2-adically integral or not; either way exact
     x, y = padic(3, a), padic(3, b)
     assert padd(x, y).frac == a + b
-    assert psub(x, y).frac == a - b
+    assert padd(x, pneg(y)).frac == a - b
     assert pmul(x, y).frac == a * b
     assert pneg(x).frac == -a
 
@@ -77,42 +73,6 @@ def test_pval_raises_when_undetermined():
     zero_at_prec = padic(2, 8, prec=3)
     with pytest.raises(InsufficientPrecision):
         pval(zero_at_prec)
-
-
-def test_frac_and_int_part():
-    x = padic(2, Fraction(3, 4))
-    assert frac_part(x) == (3, 2)
-    assert int_part(x).frac == 0
-    y = padic(2, Fraction(11, 4))  # 3/4 + 2
-    assert frac_part(y) == (3, 2)
-    assert int_part(y).frac == 2
-    assert frac_part(padic(2, 7)) == (0, 0)
-
-
-@given(rationals)
-def test_int_plus_frac_recovers(a):
-    x = padic(2, a)
-    num, e = frac_part(x)
-    assert Fraction(num, 2 ** e) + int_part(x).frac == a
-
-
-def test_psi_char_hand_values():
-    half = padic(2, Fraction(1, 2))
-    one = padic(2, 1)
-    assert psi_char(half, one).turns == Fraction(1, 2)
-    assert psi_char(half, padic(2, 2)).is_identity()
-    assert psi_char(padic(2, 3), one).is_identity()
-    third = padic(3, Fraction(1, 3))
-    assert psi_char(third, padic(3, 2)).turns == Fraction(2, 3)
-
-
-@given(rationals, rationals)
-def test_psi_char_additive_in_argument(a, b):
-    y = padic(2, Fraction(1, 8))
-    from contracta import torus_mul
-    lhs = psi_char(y, padic(2, a + b))
-    rhs = torus_mul(psi_char(y, padic(2, a)), psi_char(y, padic(2, b)))
-    assert lhs == rhs
 
 
 # ------------------------------------------------------- companion matrices

