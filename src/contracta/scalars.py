@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InvariantViolation, MixedPrime
 
@@ -10,6 +11,12 @@ from .errors import InvariantViolation, MixedPrime
 # primality exactly below _MR_BOUND (Sorenson and Webster, 2015).
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BOUND = 318_665_857_834_031_151_167_461
+# Largest n * bit_length(p) a modulus p^n may have: p^n is formed on every
+# construction, and coefficients are reduced mod it.
+_MAX_MODULUS_BITS = 1 << 16
+# Distinct normalized torus values kept; the suites' values are p-power roots
+# of unity of small order, so a few dozen cover a whole sweep.
+_TORUS_CACHE_SIZE = 1024
 
 
 def is_prime(p):
@@ -46,6 +53,8 @@ def is_prime(p):
 
 @dataclass(frozen=True)
 class Modulus:
+    """The ring Z/p^n; card = p^n is formed once, on construction."""
+
     p: int
     n: int
 
@@ -54,10 +63,22 @@ class Modulus:
             raise InvariantViolation(f"p must be prime, got {self.p}")
         if not isinstance(self.n, int) or self.n < 1:
             raise InvariantViolation(f"exponent n must be >= 1, got {self.n}")
+        bits = self.n * self.p.bit_length()
+        if bits > _MAX_MODULUS_BITS:
+            raise InvariantViolation(
+                f"modulus {self.p}^{self.n} is too large: n * bit_length(p) = {bits}, "
+                f"the limit is {_MAX_MODULUS_BITS}"
+            )
+        object.__setattr__(self, "card", self.p ** self.n)
 
-    @property
-    def card(self):
-        return self.p ** self.n
+    def __eq__(self, other):
+        # series built from one modulus share the object, so identity decides
+        # most comparisons without reading a field
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.n) == (other.p, other.n)
 
     def __str__(self):
         return f"{self.p}^{self.n}"
@@ -102,10 +123,19 @@ class TorusElem:
 
 
 def torus_from_fraction(num, exp, p):
-    """Normalize num/p^exp mod 1: reduce mod p^exp, then strip shared powers of p."""
+    """Normalize num/p^exp mod 1: reduce mod p^exp, then strip shared powers of p.
+
+    Values are immutable and shared: equal inputs after the reduction return
+    the same TorusElem from a bounded cache."""
     if exp < 0:
         raise InvariantViolation(f"exponent must be >= 0, got {exp}")
-    num %= p ** exp
+    return _torus(num % p ** exp, exp, p)
+
+
+# typed, so that True and 1 or 1.0 and 1 are kept apart and each result has
+# the types its inputs had; a refused value raises and is not cached
+@lru_cache(maxsize=_TORUS_CACHE_SIZE, typed=True)
+def _torus(num, exp, p):
     while exp > 0 and num % p == 0:
         num //= p
         exp -= 1

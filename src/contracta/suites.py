@@ -253,7 +253,7 @@ def _suite_duality_iso(params):
             checks.append(_check("additivity-exhaustive", sub_cfg, len(sub) ** 3,
                                  _additivity_full(mod, sub, sub_lo, sub_hi)))
             checks.append(_check("additivity-sampled", cfg, n_samples,
-                                 _additivity_sampled(mod, lo, hi, n_samples)))
+                                 _additivity_sampled(mod, elems, lo, hi, n_samples)))
 
         cx = None
         for y in elems:
@@ -305,15 +305,17 @@ def _additivity_full(mod, elems, lo, hi):
     return None
 
 
-def _additivity_sampled(mod, lo, hi, n_samples):
-    """Seeded random triples checked with direct character evaluations."""
+def _additivity_sampled(mod, elems, lo, hi, n_samples):
+    """Seeded random triples of the window elements elems, checked with direct
+    character evaluations."""
     import numpy as np
 
     rng = np.random.default_rng(SEED)
-    width = hi - lo
-    draws = rng.integers(0, mod.card, size=(n_samples, 3, width))
-    for row in draws:
-        x, y, z = (laurent(mod, {lo + k: int(c) for k, c in enumerate(part)}) for part in row)
+    _, powers = window_digits(mod.card, lo, hi)
+    # a row of drawn digits is the window element whose id is digits @ powers
+    ids = rng.integers(0, mod.card, size=(n_samples, 3, hi - lo)) @ powers
+    for i, j, k in ids:
+        x, y, z = elems[i], elems[j], elems[k]
         lhs = chi_char(lau_add(y, z), x)
         ey = _turn_mod_card(chi_char(y, x), mod)
         ez = _turn_mod_card(chi_char(z, x), mod)
@@ -342,9 +344,14 @@ def _suite_dual_action(params):
     samples = _count(params, "samples")
     iters = _count(params, "iterations")
     primes = sorted(_primes(params))
-    # one brute-force contraction time per sample, and ten iterated companion
-    # matvec chains per prime
-    check_work("dual-action contraction samples", samples, 0)
+    sample_moduli = _moduli(params["sample_configs"], "sample_configs")
+    if not sample_moduli:
+        raise InvalidParams("sample_configs must be nonempty")
+    per = samples // len(sample_moduli)
+    # one brute-force contraction time per sample, which tries every
+    # coefficient of its modulus, and ten iterated companion matvec chains
+    # per prime
+    check_work("dual-action contraction samples", per * sum(mod.card for mod in sample_moduli), 0)
     check_work("dual-action iterates", 10 * iters * len(primes), 0)
     checks = []
 
@@ -371,22 +378,18 @@ def _suite_dual_action(params):
                 break
         checks.append(_check("shift-dual-identity", cfg, count, cx))
 
-    checks.append(_contraction_sample_check(params, samples))
+    checks.append(_contraction_sample_check(sample_moduli, per))
     checks.extend(_transpose_formula_checks(primes, iters))
     checks.append(_stabilizer_check())
     checks.append(_nonclosed_orbit_check())
     return _finish("dual-action", params, checks)
 
 
-def _contraction_sample_check(params, samples):
+def _contraction_sample_check(moduli, per):
     import numpy as np
 
     rng = np.random.default_rng(SEED + 1)
     jobs = []
-    moduli = _moduli(params["sample_configs"], "sample_configs")
-    if not moduli:
-        raise InvalidParams("sample_configs must be nonempty")
-    per = samples // len(moduli)
     for mod in moduli:
         draws = rng.integers(0, mod.card, size=(per, 6))
         ks = rng.integers(-4, 5, size=per)

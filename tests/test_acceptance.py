@@ -11,7 +11,9 @@ import hashlib
 import json
 import time
 
-from contracta import run_suite, suite_names
+import pytest
+
+from contracta import TorusElem, run_suite, scalars, suite_names
 
 BUDGETS = {
     "duality-iso": 5.0,
@@ -24,6 +26,15 @@ BUDGETS = {
     "s-omega-prop57": 30.0,
     "verdict-thm56": 10.0,
     "heisenberg": 10.0,
+}
+
+# Counter gates: the most TorusElem values a suite may build at its default
+# params, from a cold torus cache.  Its character values are a few p-power
+# roots of unity, each built once; without the cache heisenberg builds 294 912
+# and duality-iso 175 924.
+TORUS_BUILDS = {
+    "duality-iso": 32,
+    "heisenberg": 32,
 }
 
 # sha256 of json.dumps(report, sort_keys=True, separators=(",", ":")) for each
@@ -256,3 +267,20 @@ def test_criterion_11_determinism_across_workers():
     assert sorted(GOLDEN_DIGESTS) == sorted(suite_names())
     assert mismatches == []
     assert total < 120.0
+
+
+@pytest.mark.parametrize("name", sorted(TORUS_BUILDS))
+def test_counter_gate_torus_builds(monkeypatch, name):
+    built = 0
+    validate = TorusElem.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        validate(self)
+
+    monkeypatch.setattr(TorusElem, "__post_init__", counted)
+    scalars._torus.cache_clear()
+    assert run_suite(name)["pass"] is True
+    print(f"[{'PASS' if built <= TORUS_BUILDS[name] else 'FAIL'}] {name}: {built} torus values built")
+    assert built <= TORUS_BUILDS[name]

@@ -294,6 +294,11 @@ def test_parse_error_exits_two(capsys):
     ["verify", "dual-action", "--params", '{"iterations":-3}'],
     ["verify", "dual-action", "--params", '{"window":[-8,8]}'],
     ["verify", "dual-action", "--params", '{"shift_range":[-100000000,100000000]}'],
+    ["eval", "1*t^0 @ p=2^1000000000000"],
+    ["multiplier", "--spec", '{"cocycle":{"p":2,"support":[1]},'
+     '"z":{"p":2,"n":1000000000000,"finite":{"-1":1}}}', "1*t^0 @ p=2^1", "1*t^1 @ p=2^1"],
+    ["verify", "duality-iso", "--params", '{"configs":[[2,1000000000000]]}'],
+    ["verify", "dual-action", "--params", '{"sample_configs":[[1000003,1]],"samples":1}'],
 ])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, "--json", *argv)

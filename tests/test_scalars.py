@@ -1,5 +1,6 @@
 """Exact scalar and root-of-unity arithmetic."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from contracta import (
     torus_inv,
     torus_mul,
 )
+from contracta import scalars
 
 
 def test_is_prime_small_values():
@@ -62,6 +64,31 @@ def test_is_prime_is_exact_up_to_its_bound():
 
 def test_modulus_card_and_scalar_reduction():
     assert Modulus(3, 2).card == 9
+    for p in (2, 3, 5, 7, 1000003):
+        for n in (1, 2, 3, 10):
+            assert Modulus(p, n).card == p ** n
+
+
+def test_modulus_equality_and_hash_are_by_value():
+    a, b = Modulus(3, 2), Modulus(3, 2)
+    assert a is not b
+    assert a == b and hash(a) == hash(b) == hash((3, 2))
+    assert a == a
+    assert a != Modulus(3, 1) and a != Modulus(2, 2)
+    assert Modulus(2, 1) != (2, 1)
+    assert (Modulus(2, 1) == (2, 1)) is False
+    assert len({a, b, Modulus(3, 1)}) == 2
+    # card is an attribute, not a field: repr and fields are the two values
+    assert [f.name for f in fields(Modulus)] == ["p", "n"]
+    assert repr(a) == "Modulus(p=3, n=2)"
+
+
+def test_modulus_refuses_an_oversized_power_before_forming_it():
+    limit = scalars._MAX_MODULUS_BITS
+    assert Modulus(2, limit // 2).card == 2 ** (limit // 2)
+    for p, n in [(2, limit // 2 + 1), (2, 10 ** 12), (1000003, 10 ** 9)]:
+        with pytest.raises(InvariantViolation, match="too large"):
+            Modulus(p, n)
 
 
 def test_modulus_rejects_composite():
@@ -79,6 +106,45 @@ def test_torus_normalization():
     assert torus_from_fraction(8, 3, 2).is_identity()
     assert torus_from_fraction(0, 5, 3).is_identity()
     assert torus_from_fraction(-1, 1, 2).turns == Fraction(1, 2)
+
+
+def _denominator_exponent(frac, p):
+    e, d = 0, frac.denominator
+    while d > 1:
+        d //= p
+        e += 1
+    return e
+
+
+def test_torus_from_fraction_agrees_with_fraction_and_direct_construction():
+    for p in (2, 3, 5):
+        for exp in range(4):
+            for num in range(-2 * p ** exp, 2 * p ** exp + 1):
+                got = torus_from_fraction(num, exp, p)
+                want = Fraction(num, p ** exp) % 1
+                assert got.turns == want
+                assert got == TorusElem(p, want.numerator, _denominator_exponent(want, p))
+                # equal inputs share one immutable value
+                assert torus_from_fraction(num, exp, p) is got
+
+
+def test_torus_refusals_are_not_cached():
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match="prime"):
+            torus_from_fraction(1, 1, 4)
+        with pytest.raises(InvariantViolation, match="prime"):
+            torus_from_fraction(0, 0, 6)
+        with pytest.raises(InvariantViolation, match="exponent"):
+            torus_from_fraction(1, -1, 2)
+
+
+def test_torus_cache_keeps_bool_and_int_apart():
+    scalars._torus.cache_clear()
+    flag = torus_from_fraction(1, True, 2)
+    plain = torus_from_fraction(1, 1, 2)
+    assert flag == plain and flag is not plain
+    assert type(flag.exp) is bool and type(plain.exp) is int
+    assert scalars._torus.cache_info().currsize == 2
 
 
 def test_torus_rejects_non_normal_direct_construction():

@@ -254,6 +254,28 @@ def test_planted_chi_char_fault_fails_additivity(monkeypatch):
                                        "z": "1*t^0 @ p=3^1"}
 
 
+def test_planted_lau_add_fault_fails_sampled_additivity(monkeypatch):
+    # y + z gains t^-1 when y_1 = 3 and z_1 = 2, which only an x with x_1 != 0
+    # sees; the counterexample is the 18th sample, the triple that laurent()
+    # builds from the drawn digits
+    real = suites.lau_add
+
+    def faulty(y, z):
+        out = real(y, z)
+        if y.coeff(1) == 3 and z.coeff(1) == 2:
+            return real(out, lau_monomial(y.modulus, -1, 1))
+        return out
+
+    monkeypatch.setattr(suites, "lau_add", faulty)
+    rep = run_suite("duality-iso", {"configs": [[2, 2]], "table_limit": 100, "samples": 500})
+    assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == ["additivity-sampled"]
+    check = _check_named(rep, "additivity-sampled")
+    assert check["checked"] == 500
+    assert check["counterexample"] == {"x": "3*t^-2 + 3*t^-1 + 3*t^0 + 2*t^1 @ p=2^2",
+                                       "y": "3*t^1 @ p=2^2",
+                                       "z": "2*t^-2 + 3*t^-1 + 1*t^0 + 2*t^1 @ p=2^2"}
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_window_elements_enumerates_card_pow_width():
