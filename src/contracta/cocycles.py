@@ -105,14 +105,26 @@ def eta(spec, x, y):
         raise UnsupportedOperands("cocycles are defined over exponent-one coefficients only")
     if spec.support and x.has_tail():
         raise UnsupportedOperands("first pairing argument must be finitely supported")
-    # the sum of the shifted pairings, built as one coefficient map
+    return laurent(x.modulus, eta_coeffs(spec, x, y))
+
+
+def eta_coeffs(spec, x, y):
+    """The coefficients of eta(spec, x, y) as {index: value mod p}, zeros
+    dropped, for operands eta accepts; eta checks them.
+
+    A finite y is read through its index map; coeff() runs only when y has a
+    tail.
+    """
+    get = y.coeff if y.tail is not None else y._fdict.get
     acc = {}
-    for n in spec.support:
-        for i, c in x.finite:
-            v = c * y.coeff(i + 2 * n)
+    support = spec.support
+    for i, c in x.finite:
+        for n in support:
+            v = get(i + 2 * n)
             if v:
-                acc[i + n] = acc.get(i + n, 0) + v
-    return laurent(x.modulus, acc)
+                acc[i + n] = acc.get(i + n, 0) + c * v
+    p = spec.p
+    return {i: r for i, v in acc.items() if (r := v % p)}
 
 
 def _law_report(name, status, cx=None):
@@ -182,27 +194,34 @@ def check_cocycle_laws(spec, lo, hi):
     digits, powers = window_digits(p, lo, hi)
     add_id = add_table(digits, powers, p)
 
-    # eta_tab is the first e_width bytes of rows padded to whole 8-byte words
-    packed = np.zeros((size, size, -(-e_width // 8) * 8), dtype=np.uint8)
-    eta_tab = packed[:, :, :e_width]
+    # the table is filled from eta's coefficient maps, one call per pair, into
+    # a flat buffer of rows padded to whole 8-byte words; eta_tab is the first
+    # e_width bytes of each row
+    row = -(-e_width // 8) * 8
+    buf = bytearray(size * size * row)
     # t*x depends on x alone, so each window element is shifted once, not per pair
     elems_t = [lau_shift(x, 1) for x in elems]
     equiv_cx = None
+    base = -e_lo  # buf[base + idx] is lane idx - e_lo of the current pair's row
     for i, x in enumerate(elems):
+        xt = elems_t[i]
         for j, y in enumerate(elems):
-            e = eta(spec, x, y)
-            for idx, c in e.finite:
-                eta_tab[i, j, idx - e_lo] = c
+            e = eta_coeffs(spec, x, y)
+            for idx, c in e.items():
+                buf[base + idx] = c
+            base += row
             if equiv_cx is None:
-                shifted = eta(spec, elems_t[i], elems_t[j])
-                e_t = lau_shift(e, 1)
-                if shifted != e_t:
+                e_t = {idx + 1: c for idx, c in e.items()}
+                if eta_coeffs(spec, xt, elems_t[j]) != e_t:
+                    # the counterexample shows the series that eta gives
                     equiv_cx = {
                         "x": series_to_text(x),
                         "y": series_to_text(y),
-                        "lhs": series_to_text(shifted),
-                        "rhs": series_to_text(e_t),
+                        "lhs": series_to_text(eta(spec, xt, elems_t[j])),
+                        "rhs": series_to_text(lau_shift(eta(spec, x, y), 1)),
                     }
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(size, size, row)
+    eta_tab = packed[:, :, :e_width]
 
     ok_first, ok_second, ok_identity = verdicts = packed_law_verdicts(packed, add_id, p)
     # when a law fails, the `% p` masks give its first counterexample in

@@ -31,7 +31,9 @@ def chi_char(y, x):
     # at most one side has a tail, so the pairing is a finite sum over the
     # explicit terms of the other side
     if not x.has_tail():
-        exponent = sum(c * y.coeff(-j) for j, c in x.finite)
+        # a finite y is read through its index map, without coeff()
+        get = y.coeff if y.has_tail() else y._fdict.get
+        exponent = sum(c * (get(-j) or 0) for j, c in x.finite)
     else:
         exponent = sum(c * x.coeff(-i) for i, c in y.finite)
     return torus_from_fraction(exponent, x.modulus.n, x.modulus.p)

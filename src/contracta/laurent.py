@@ -150,8 +150,15 @@ def lau_add(x, y):
     for t in (x.tail, y.tail):
         if t is not None:
             d = d * len(t[1]) // gcd(d, len(t[1]))
-    lo = min(x.valuation, y.valuation)
-    coeffs = {i: x.coeff(i) + y.coeff(i) for i in range(int(lo), s)} if s > lo else {}
+    # below the lower tail start only the finite parts contribute, so they
+    # are merged sparsely; the span from there to s is read densely
+    t0 = min(starts)
+    coeffs = {}
+    for i, c in x.finite + y.finite:
+        if i < t0:
+            coeffs[i] = coeffs.get(i, 0) + c
+    for i in range(t0, s):
+        coeffs[i] = x.coeff(i) + y.coeff(i)
     pattern = tuple(x.coeff(s + k) + y.coeff(s + k) for k in range(d))
     return laurent(x.modulus, coeffs, (s, pattern))
 

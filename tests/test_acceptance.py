@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from contracta import TorusElem, run_suite, scalars, suite_names
+from contracta import LaurentElem, TorusElem, run_suite, scalars, suite_names
 
 BUDGETS = {
     "duality-iso": 5.0,
@@ -36,6 +36,12 @@ TORUS_BUILDS = {
     "duality-iso": 32,
     "heisenberg": 32,
 }
+
+# The most LaurentElem objects cocycle-laws may build at its default params.
+# Its eta table is filled from coefficient maps, so it builds the window
+# elements and their shifts (4 640); with one eta series per pair it built
+# 374 576.
+COCYCLE_LAURENT_BUILDS = 6000
 
 # sha256 of json.dumps(report, sort_keys=True, separators=(",", ":")) for each
 # suite at its default params
@@ -284,3 +290,19 @@ def test_counter_gate_torus_builds(monkeypatch, name):
     assert run_suite(name)["pass"] is True
     print(f"[{'PASS' if built <= TORUS_BUILDS[name] else 'FAIL'}] {name}: {built} torus values built")
     assert built <= TORUS_BUILDS[name]
+
+
+def test_counter_gate_cocycle_laws_laurent_builds(monkeypatch):
+    built = 0
+    init = LaurentElem.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LaurentElem, "__init__", counted)
+    assert run_suite("cocycle-laws")["pass"] is True
+    ok = built <= COCYCLE_LAURENT_BUILDS
+    print(f"[{'PASS' if ok else 'FAIL'}] cocycle-laws: {built} Laurent series built")
+    assert ok

@@ -317,6 +317,19 @@ def test_large_prime_literal_returns_quickly(capsys):
     assert report["results"]["result"]["json"]["p"] == 1000000000000000003
 
 
+def test_wide_sparse_tailed_add_returns_quickly(capsys):
+    # the finite parts below the tail start merge sparsely, not one slot at a
+    # time over the 6e8-wide span between the two terms
+    t0 = time.perf_counter()
+    code, report, _ = run_json(capsys, "eval", "1*t^-300000000 @ p=2^1",
+                               "--add", "per[1]*t^{>=300000000} @ p=2^1")
+    assert time.perf_counter() - t0 < 2
+    assert code == 0
+    result = report["results"]["result"]
+    assert result["text"] == "1*t^-300000000 + per[1]*t^{>=300000000} @ p=2^1"
+    assert report["results"]["valuation"] == -300000000
+
+
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 WATCHED = ("numpy", "contracta.multipliers", "contracta.suites")

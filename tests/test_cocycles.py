@@ -1,5 +1,7 @@
 """Shift-pairing cocycles over F_p and their law checks."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -141,6 +143,38 @@ def test_eta_biadditive(x1, x2):
     assert lhs == rhs
 
 
+def _eta_by_coeff(spec, x, y):
+    """eta summed with one coeff() lookup per (shift, term): the reference
+    for eta and eta_coeffs."""
+    acc = {}
+    for n in spec.support:
+        for i, c in x.finite:
+            v = c * y.coeff(i + 2 * n)
+            if v:
+                acc[i + n] = acc.get(i + n, 0) + v
+    return laurent(x.modulus, acc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("support", [(), (1,), (1, 3)])
+def test_eta_and_coeff_map_agree_with_coeff_loop(p, support):
+    rng = random.Random(p * 100 + len(support))
+    mod = Modulus(p, 1)
+    spec = CocycleSpec(p, support)
+
+    def terms(lo, hi):
+        return {rng.randint(lo, hi): rng.randrange(p) for _ in range(rng.randint(0, 4))}
+
+    for _ in range(120):
+        x = laurent(mod, terms(-4, 4))
+        start = rng.randint(-3, 6)
+        tail = tuple(rng.randrange(p) for _ in range(rng.randint(1, 3)))
+        for y in (laurent(mod, terms(-4, 8)), laurent(mod, terms(start - 5, start - 1), tail=(start, tail))):
+            want = _eta_by_coeff(spec, x, y)
+            assert eta(spec, x, y) == want
+            assert cocycles.eta_coeffs(spec, x, y) == dict(want.finite)
+
+
 def test_check_cocycle_laws_report():
     rep = check_cocycle_laws(CocycleSpec(2, (1,)), -1, 2)
     assert rep["pass"] is True
@@ -199,15 +233,17 @@ def test_packed_law_verdicts_agree_with_mod_p(p, lo, hi):
 
 
 def _plant(monkeypatch, fault):
-    """Add the coefficient map fault(x, y) to every eta value."""
-    true_eta = cocycles.eta
+    """Add the coefficient map fault(x, y) to every eta value, at the
+    coefficient map that both eta and the law table read."""
+    true_coeffs = cocycles.eta_coeffs
 
     def faulty(spec, x, y):
-        extra = fault(x, y)
-        e = true_eta(spec, x, y)
-        return lau_add(e, laurent(x.modulus, extra)) if extra else e
+        merged = true_coeffs(spec, x, y)
+        for i, v in (fault(x, y) or {}).items():
+            merged[i] = merged.get(i, 0) + v
+        return dict(laurent(x.modulus, merged).finite)
 
-    monkeypatch.setattr(cocycles, "eta", faulty)
+    monkeypatch.setattr(cocycles, "eta_coeffs", faulty)
 
 
 def _law_reports(rep):

@@ -103,6 +103,24 @@ def test_chi_finite_index_on_tailed_argument_agrees_with_dense_sum():
                 assert chi_char(y, x) == _chi_dense(y, x)
 
 
+def test_chi_finite_argument_agrees_with_coeff_sum():
+    # the finite-x branch reads a finite y through its index map; the sum of
+    # y.coeff(-j) over x's terms is the reference
+    rng = random.Random(20261021)
+    for mod in (M2, M3, M9):
+        for _ in range(150):
+            x = laurent(mod, {rng.randint(-6, 6): rng.randrange(mod.card) for _ in range(rng.randint(1, 4))})
+            start = rng.randint(-6, 6)
+            pattern = tuple(rng.randrange(mod.card) for _ in range(rng.randint(1, 3)))
+            head = {rng.randint(-8, 8): rng.randrange(mod.card) for _ in range(rng.randint(0, 3))}
+            for y in (laurent(mod, head), laurent(mod, {i: c for i, c in head.items() if i < start},
+                                                  tail=(start, pattern))):
+                if x.is_zero() or y.is_zero():
+                    continue
+                exponent = sum(c * y.coeff(-j) for j, c in x.finite)
+                assert chi_char(y, x) == torus_from_fraction(exponent, mod.n, mod.p)
+
+
 def test_chi_wide_finite_index_on_tailed_argument_returns_at_once():
     # the index has one term, so the pairing costs one coefficient lookup,
     # not one per slot of the 6e8-wide span between the two valuations

@@ -252,6 +252,39 @@ def test_tailed_add_agrees_coefficientwise(x, y):
         assert z.coeff(i) == (x.coeff(i) + y.coeff(i)) % 2
 
 
+def _lau_add_dense(x, y):
+    """The tailed sum read slot by slot from the lower valuation up to where
+    both tails run alone: the reference for lau_add's sparse merge."""
+    starts = [t[0] for t in (x.tail, y.tail) if t is not None]
+    tops = [m + 1 for m in (x.support_max(), y.support_max()) if m is not None]
+    s = max(starts + tops)
+    d = 1
+    for t in (x.tail, y.tail):
+        if t is not None:
+            d = d * len(t[1]) // math.gcd(d, len(t[1]))
+    lo = int(min(x.valuation, y.valuation))
+    coeffs = {i: x.coeff(i) + y.coeff(i) for i in range(lo, s)}
+    return laurent(x.modulus, coeffs, (s, tuple(x.coeff(s + k) + y.coeff(s + k) for k in range(d))))
+
+
+def test_tailed_add_agrees_with_dense_loop():
+    rng = random.Random(20261021)
+    for mod in (M2, M3, M4):
+        def series(tailed):
+            head = {rng.randint(-9, 9): rng.randrange(mod.card) for _ in range(rng.randint(0, 4))}
+            if not tailed:
+                return laurent(mod, head)
+            start = rng.randint(-6, 6)
+            pattern = tuple(rng.randrange(mod.card) for _ in range(rng.randint(1, 3)))
+            return laurent(mod, {i: c for i, c in head.items() if i < start}, tail=(start, pattern))
+
+        for _ in range(200):
+            x, y = series(True), series(rng.random() < 0.5)
+            if x.has_tail() or y.has_tail():
+                assert lau_add(x, y) == _lau_add_dense(x, y)
+                assert lau_add(y, x) == _lau_add_dense(x, y)
+
+
 @given(tailed_series(M3))
 def test_tailed_self_subtraction(x):
     assert lau_sub(x, x).is_zero()
