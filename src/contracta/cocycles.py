@@ -97,20 +97,27 @@ def theta(n, x, y):
 
 def eta(spec, x, y):
     """Sum over the spec's shifts n of t^n * theta(2n, x, y)."""
-    if x.modulus != y.modulus:
-        raise MixedModulus(f"{x.modulus} vs {y.modulus}")
-    if x.modulus.p != spec.p:
-        raise MixedPrime(f"series over p={x.modulus.p}, cocycle over p={spec.p}")
-    if x.modulus.n != 1:
-        raise UnsupportedOperands("cocycles are defined over exponent-one coefficients only")
-    if spec.support and x.has_tail():
-        raise UnsupportedOperands("first pairing argument must be finitely supported")
+    check_eta_operands(spec, x, y)
     return laurent(x.modulus, eta_coeffs(spec, x, y))
+
+
+def check_eta_operands(spec, x, y):
+    """Refuse the operands eta does not accept, with eta's error classes."""
+    mod = x.modulus
+    # moduli are shared between series, so identity decides most comparisons
+    if y.modulus is not mod and y.modulus != mod:
+        raise MixedModulus(f"{x.modulus} vs {y.modulus}")
+    if mod.p != spec.p:
+        raise MixedPrime(f"series over p={x.modulus.p}, cocycle over p={spec.p}")
+    if mod.n != 1:
+        raise UnsupportedOperands("cocycles are defined over exponent-one coefficients only")
+    if spec.support and x.tail is not None:
+        raise UnsupportedOperands("first pairing argument must be finitely supported")
 
 
 def eta_coeffs(spec, x, y):
     """The coefficients of eta(spec, x, y) as {index: value mod p}, zeros
-    dropped, for operands eta accepts; eta checks them.
+    dropped, for operands check_eta_operands accepts; callers check them.
 
     A finite y is read through its index map; coeff() runs only when y has a
     tail.

@@ -20,23 +20,32 @@ from .laurent import LaurentElem, lau_monomial, lau_shift
 from .padic import PadicElem, PolyData, dual_companion, min_entry_valuation, poly_from_json
 from .scalars import Modulus, torus_from_fraction
 
-def chi_char(y, x):
-    """Evaluate chi_y(x) exactly as a torus element."""
-    if y.modulus != x.modulus:
+def chi_exponent(y, x):
+    """The exponent e in [0, p^n) with chi_y(x) = e^{2 pi i e/p^n}."""
+    mod = x.modulus
+    # moduli are shared between series, so identity decides most comparisons
+    if y.modulus is not mod and y.modulus != mod:
         raise MixedModulus(f"{y.modulus} vs {x.modulus}")
-    if y.has_tail() and x.has_tail():
+    if y.tail is not None and x.tail is not None:
         raise UnsupportedOperands("chi_char with tails on both sides is not supported")
-    if x.is_zero() or y.is_zero():
-        return torus_from_fraction(0, 0, x.modulus.p)
     # at most one side has a tail, so the pairing is a finite sum over the
-    # explicit terms of the other side
-    if not x.has_tail():
+    # explicit terms of the other side; a zero operand gives the empty sum
+    if x.tail is None:
         # a finite y is read through its index map, without coeff()
-        get = y.coeff if y.has_tail() else y._fdict.get
-        exponent = sum(c * (get(-j) or 0) for j, c in x.finite)
+        get = y.coeff if y.tail is not None else y._fdict.get
+        exponent = 0
+        for j, c in x.finite:
+            v = get(-j)
+            if v:
+                exponent += c * v
     else:
         exponent = sum(c * x.coeff(-i) for i, c in y.finite)
-    return torus_from_fraction(exponent, x.modulus.n, x.modulus.p)
+    return exponent % mod.card
+
+
+def chi_char(y, x):
+    """Evaluate chi_y(x) exactly as a torus element."""
+    return torus_from_fraction(chi_exponent(y, x), x.modulus.n, x.modulus.p)
 
 
 def dual_action_T(k, y):

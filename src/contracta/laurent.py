@@ -10,8 +10,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, inf
 
-from .errors import InvariantViolation, MixedModulus, ParseError, SchemaError, UnsupportedOperands
+from .errors import (
+    InvalidParams,
+    InvariantViolation,
+    MixedModulus,
+    ParseError,
+    SchemaError,
+    UnsupportedOperands,
+)
 from .scalars import Modulus
+
+# Most slots a tailed sum may hold densely, from the lower tail start up to
+# the start of the result's tail: the canonical form stores every one of them.
+_MAX_DENSE_SPAN = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -153,6 +164,11 @@ def lau_add(x, y):
     # below the lower tail start only the finite parts contribute, so they
     # are merged sparsely; the span from there to s is read densely
     t0 = min(starts)
+    if s - t0 > _MAX_DENSE_SPAN:
+        raise InvalidParams(
+            f"the sum holds {s - t0} dense coefficients from index {t0} to {s}; "
+            f"the limit is {_MAX_DENSE_SPAN}"
+        )
     coeffs = {}
     for i, c in x.finite + y.finite:
         if i < t0:

@@ -12,13 +12,14 @@ from .laurent import laurent
 
 # Largest window sweep a check accepts.  Evaluations count Python-level calls
 # (omega, eta, chi_z, ext_mul, heis_mul, window elements) at a few
-# microseconds apiece: about 2 for chi_char, 3 to 5 for eta, 10 for omega2
-# and 13 to 15 for ext_mul and heis_mul on one x86-64 core with Python 3.11,
-# so a sweep at the limit spends 0.2 to 1.5 s in them.  cocycle-laws fills
-# its table with eta_coeffs, eta's coefficient map without the series, at 1
-# to 2 microseconds a pair (p = 3, four shifts, window [-1, 3]).  Table
-# entries count numpy array elements.  Every default suite spec stays below
-# both.
+# microseconds apiece on one x86-64 core with Python 3.11: about 0.4 for
+# chi_exponent (0.8 for chi_char, which wraps it in a torus value), 1 to 2
+# for eta_coeffs, eta's coefficient map without the series, and 3 for eta,
+# 2 for omega_exponent and 4 for omega2_exponent (omega2 about 4.5), and 13
+# to 15 for ext_mul and heis_mul, so a sweep at the limit spends 0.05 to
+# 1.5 s in them.  The character and multiplier sweeps fill their tables with
+# the exponent functions, cocycle-laws with eta_coeffs.  Table entries count
+# numpy array elements.  Every default suite spec stays below both.
 _MAX_EVALUATIONS = 100_000
 _MAX_TABLE_ENTRIES = 1 << 24
 # no window this wide fits either limit, whatever p is

@@ -31,7 +31,7 @@ BUDGETS = {
 # Counter gates: the most TorusElem values a suite may build at its default
 # params, from a cold torus cache.  Its character values are a few p-power
 # roots of unity, each built once; without the cache heisenberg builds 294 912
-# and duality-iso 175 924.
+# and duality-iso 175 924 (duality-iso now reads exponents and builds none).
 TORUS_BUILDS = {
     "duality-iso": 32,
     "heisenberg": 32,
@@ -42,6 +42,16 @@ TORUS_BUILDS = {
 # elements and their shifts (4 640); with one eta series per pair it built
 # 374 576.
 COCYCLE_LAURENT_BUILDS = 6000
+
+# The same bound for the suites whose tables read omega exponents.  omega is
+# chi_z paired with eta's coefficient map, so no eta series is built per pair;
+# with one eta series per omega call multiplier-axioms built 22 249,
+# s-omega-prop57 95 364 and verdict-thm56 11 962 (262, 35 676 and 4 286 now).
+LAURENT_BUILDS = {
+    "multiplier-axioms": 1000,
+    "s-omega-prop57": 45000,
+    "verdict-thm56": 6000,
+}
 
 # sha256 of json.dumps(report, sort_keys=True, separators=(",", ":")) for each
 # suite at its default params
@@ -292,7 +302,8 @@ def test_counter_gate_torus_builds(monkeypatch, name):
     assert built <= TORUS_BUILDS[name]
 
 
-def test_counter_gate_cocycle_laws_laurent_builds(monkeypatch):
+def _laurent_builds(monkeypatch, name):
+    """The LaurentElem objects a passing default run of suite `name` builds."""
     built = 0
     init = LaurentElem.__init__
 
@@ -302,7 +313,20 @@ def test_counter_gate_cocycle_laws_laurent_builds(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(LaurentElem, "__init__", counted)
-    assert run_suite("cocycle-laws")["pass"] is True
+    assert run_suite(name)["pass"] is True
+    return built
+
+
+def test_counter_gate_cocycle_laws_laurent_builds(monkeypatch):
+    built = _laurent_builds(monkeypatch, "cocycle-laws")
     ok = built <= COCYCLE_LAURENT_BUILDS
     print(f"[{'PASS' if ok else 'FAIL'}] cocycle-laws: {built} Laurent series built")
+    assert ok
+
+
+@pytest.mark.parametrize("name", sorted(LAURENT_BUILDS))
+def test_counter_gate_laurent_builds(monkeypatch, name):
+    built = _laurent_builds(monkeypatch, name)
+    ok = built <= LAURENT_BUILDS[name]
+    print(f"[{'PASS' if ok else 'FAIL'}] {name}: {built} Laurent series built")
     assert ok

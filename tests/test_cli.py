@@ -299,6 +299,7 @@ def test_parse_error_exits_two(capsys):
      '"z":{"p":2,"n":1000000000000,"finite":{"-1":1}}}', "1*t^0 @ p=2^1", "1*t^1 @ p=2^1"],
     ["verify", "duality-iso", "--params", '{"configs":[[2,1000000000000]]}'],
     ["verify", "dual-action", "--params", '{"sample_configs":[[1000003,1]],"samples":1}'],
+    ["eval", "per[1]*t^{>=-1000000} @ p=2^1", "--add", "1*t^1000000 @ p=2^1"],
 ])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, "--json", *argv)
@@ -328,6 +329,19 @@ def test_wide_sparse_tailed_add_returns_quickly(capsys):
     result = report["results"]["result"]
     assert result["text"] == "1*t^-300000000 + per[1]*t^{>=300000000} @ p=2^1"
     assert report["results"]["valuation"] == -300000000
+
+
+def test_wide_dense_tailed_add_is_refused_quickly(capsys):
+    # the sum holds every slot from the tail start at -1e6 up to the finite
+    # term at 1e6; the canonical form would spell out two million entries
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "--json", "eval", "per[1]*t^{>=-1000000} @ p=2^1",
+                         "--add", "1*t^1000000 @ p=2^1")
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: InvalidParams: the sum holds 2000001 dense coefficients from index -1000000 "
+        "to 1000001; the limit is 65536"]
 
 
 _NUMPY_PROBE = """
@@ -377,6 +391,23 @@ def test_numpy_loads_only_for_table_commands():
     assert seen.pop("verdict") == [0, ["contracta.multipliers"]]
     assert seen.pop("multiplier") == [0, ["contracta.multipliers"]]
     assert seen == {argv[0]: [0, []] for argv in calls[:-3]}
+
+
+def test_radical_sweeps_do_not_load_numpy():
+    # the radical window and the verdict probes read omega exponents in
+    # plain Python
+    calls = [
+        ["s-omega", "--spec", Z0_SPEC, "--window", "-2", "3"],
+        ["verify", "s-omega-prop57"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(contracta.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(calls)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["s-omega"] == [0, ["contracta.multipliers"]]
+    assert seen["verify"] == [0, ["contracta.multipliers", "contracta.suites"]]
 
 
 def test_suite_names_match_the_registry():

@@ -12,6 +12,7 @@ from contracta import (
     BlockSpec,
     EBlock,
     InvariantViolation,
+    MixedModulus,
     Modulus,
     TBlock,
     UnsupportedOperands,
@@ -31,6 +32,7 @@ from contracta import (
 )
 from contracta.duality import (
     block_spec_from_json,
+    chi_exponent,
     contraction_time_brute,
     nonclosed_orbit_witness,
     stabilizer_is_trivial,
@@ -119,6 +121,55 @@ def test_chi_finite_argument_agrees_with_coeff_sum():
                     continue
                 exponent = sum(c * y.coeff(-j) for j, c in x.finite)
                 assert chi_char(y, x) == torus_from_fraction(exponent, mod.n, mod.p)
+
+
+def _random_operand(rng, mod, tailed):
+    head = {rng.randint(-8, 8): rng.randrange(mod.card) for _ in range(rng.randint(0, 4))}
+    if not tailed:
+        return laurent(mod, head)
+    start = rng.randint(-6, 6)
+    pattern = tuple(rng.randrange(mod.card) for _ in range(rng.randint(1, 3)))
+    return laurent(mod, {i: c for i, c in head.items() if i < start}, tail=(start, pattern))
+
+
+def test_chi_exponent_agrees_with_dense_sum():
+    # finite against finite, a finite index on a tailed argument and a tailed
+    # index on a finite argument; the exponent lies in [0, p^n), so one torus
+    # value pins it
+    rng = random.Random(20261022)
+    for mod in (M2, M3, M9):
+        for y_tailed, x_tailed in ((False, False), (False, True), (True, False)):
+            for _ in range(100):
+                y = _random_operand(rng, mod, y_tailed)
+                x = _random_operand(rng, mod, x_tailed)
+                e = chi_exponent(y, x)
+                assert type(e) is int and 0 <= e < mod.card
+                if x.is_zero() or y.is_zero():
+                    assert e == 0
+                else:
+                    assert torus_from_fraction(e, mod.n, mod.p) == _chi_dense(y, x)
+                assert chi_char(y, x) == torus_from_fraction(e, mod.n, mod.p)
+
+
+def test_chi_exponent_zero_operands():
+    zero = laurent(M9, {})
+    tailed = laurent(M9, {}, tail=(-4, (1, 2)))
+    for other in (zero, lau_monomial(M9, 3, 5), tailed):
+        assert chi_exponent(zero, other) == chi_exponent(other, zero) == 0
+
+
+@pytest.mark.parametrize("y, x, error", [
+    (lau_monomial(M2, 0, 1), lau_monomial(M3, 0, 1), MixedModulus),
+    (lau_monomial(M3, 0, 1), lau_monomial(M9, 0, 1), MixedModulus),
+    (laurent(M2, {}, tail=(0, (1,))), laurent(M2, {}, tail=(3, (1, 0))), UnsupportedOperands),
+    # the modulus check comes first
+    (laurent(M2, {}, tail=(0, (1,))), laurent(M3, {}, tail=(0, (1,))), MixedModulus),
+])
+def test_chi_exponent_refuses_what_chi_char_refuses(y, x, error):
+    with pytest.raises(error):
+        chi_exponent(y, x)
+    with pytest.raises(error):
+        chi_char(y, x)
 
 
 def test_chi_wide_finite_index_on_tailed_argument_returns_at_once():

@@ -2,12 +2,14 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from contracta import (
+    InvalidParams,
     InvariantViolation,
     Modulus,
     ParseError,
@@ -31,6 +33,9 @@ from contracta import (
 M2 = Modulus(2, 1)
 M3 = Modulus(3, 1)
 M4 = Modulus(2, 2)
+
+# the package attribute `laurent` is the function, so the module is read here
+laurent_mod = sys.modules["contracta.laurent"]
 
 
 def finite_series(modulus=M2, lo=-3, hi=4):
@@ -283,6 +288,28 @@ def test_tailed_add_agrees_with_dense_loop():
             if x.has_tail() or y.has_tail():
                 assert lau_add(x, y) == _lau_add_dense(x, y)
                 assert lau_add(y, x) == _lau_add_dense(x, y)
+
+
+def test_tailed_add_refuses_a_dense_span_above_the_limit():
+    limit = laurent_mod._MAX_DENSE_SPAN
+    tail = laurent(M2, {}, tail=(0, (1,)))
+    # the result's tail starts one above the finite term, so the span is top + 1
+    at_limit = lau_add(tail, lau_monomial(M2, limit - 1, 1))
+    assert at_limit.coeff(limit - 1) == 0 and at_limit.tail == (limit, (1,))
+    for x, y in ((tail, lau_monomial(M2, limit, 1)),
+                 (laurent(M3, {}, tail=(-limit, (1, 2))), laurent(M3, {}, tail=(1, (1,))))):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(InvalidParams, match="dense coefficients"):
+                lau_add(a, b)
+
+
+def test_tailed_mul_inherits_the_dense_span_limit():
+    tail = laurent(M2, {}, tail=(0, (1,)))
+    far = laurent(M2, {0: 1, laurent_mod._MAX_DENSE_SPAN + 1: 1})
+    with pytest.raises(InvalidParams, match="dense coefficients"):
+        lau_mul(far, tail)
+    near = laurent(M2, {0: 1, 5: 1})
+    assert lau_mul(near, tail) == laurent(M2, {0: 1, 1: 1, 2: 1, 3: 1, 4: 1})
 
 
 @given(tailed_series(M3))

@@ -31,11 +31,19 @@ from contracta import (
     torus_mul,
     type_i_verdict,
 )
-from contracta import multipliers
-from contracta.errors import InvalidParams, WitnessWindowTooSmall
+from contracta import chi_char, lau_zero, multipliers, window_elements
+from contracta.errors import (
+    InvalidParams,
+    MixedModulus,
+    MixedPrime,
+    UnsupportedOperands,
+    WitnessWindowTooSmall,
+)
+from contracta.multipliers import omega2_exponent, omega_exponent
 
 M2 = Modulus(2, 1)
 M3 = Modulus(3, 1)
+M4 = Modulus(2, 2)
 
 # simple pole index: z = t^-1 over F_2, support {1}
 POLE = MultiplierSpec(CocycleSpec(2, (1,)), lau_monomial(M2, -1, 1))
@@ -91,6 +99,63 @@ def test_omega2_skew(x, y):
     assert omega2(POLE, x, x).is_identity()
 
 
+def _omega_by_series(m, x, y):
+    """The composition omega once was: chi_z on the eta series."""
+    return chi_char(m.z, eta(m.s, x, y))
+
+
+# the default multiplier-axioms specs, plus a zero z and an empty support
+EXPONENT_SPECS = [
+    POLE,
+    TAIL,
+    MultiplierSpec(CocycleSpec(2, (1, 3)), tail_character_index(2, 1)),
+    THREE,
+    MultiplierSpec(CocycleSpec(3, (1, 2)), lau_zero(M3)),
+    MultiplierSpec(CocycleSpec(2, ()), tail_character_index(2, -2)),
+]
+
+
+@pytest.mark.parametrize("m", EXPONENT_SPECS)
+def test_omega_exponents_agree_with_series_composition(m):
+    p = m.s.p
+    elems = window_elements(m.s.modulus, -1, 3)
+    for x in elems:
+        for y in elems:
+            e = omega_exponent(m, x, y)
+            assert type(e) is int and 0 <= e < p
+            assert torus_from_fraction(e, 1, p) == _omega_by_series(m, x, y) == omega(m, x, y)
+            e2 = omega2_exponent(m, x, y)
+            assert e2 == (e - omega_exponent(m, y, x)) % p
+            want = torus_mul(_omega_by_series(m, x, y), torus_inv(_omega_by_series(m, y, x)))
+            assert torus_from_fraction(e2, 1, p) == want == omega2(m, x, y)
+            assert omega2(m, x, y) == omega2_closed_form(m, x, y)
+
+
+def test_omega_exponent_on_tailed_operands():
+    # a tailed y is read through coeff(); with an empty support a tailed x is
+    # accepted too, and the pairing is trivial
+    tail = laurent(M2, {}, tail=(-1, (1, 0)))
+    x = laurent(M2, {-1: 1, 0: 1})
+    for m in (POLE, TAIL):
+        assert torus_from_fraction(omega_exponent(m, x, tail), 1, 2) == _omega_by_series(m, x, tail)
+    empty = MultiplierSpec(CocycleSpec(2, ()), tail_character_index(2, 1))
+    assert omega_exponent(empty, tail, tail) == 0 == omega2_exponent(empty, tail, x)
+    assert _omega_by_series(empty, tail, tail).is_identity()
+
+
+@pytest.mark.parametrize("x, y, error", [
+    (lau_monomial(M2, 0, 1), lau_monomial(M4, 0, 1), MixedModulus),
+    (lau_monomial(M3, 0, 1), lau_monomial(M3, 1, 1), MixedPrime),
+    (lau_monomial(M4, 0, 1), lau_monomial(M4, 1, 1), UnsupportedOperands),
+    (laurent(M2, {}, tail=(0, (1,))), lau_monomial(M2, 1, 1), UnsupportedOperands),
+    (laurent(M2, {}, tail=(0, (1,))), laurent(M2, {}, tail=(2, (1, 0))), UnsupportedOperands),
+])
+def test_omega_exponent_refuses_what_the_series_path_refuses(x, y, error):
+    for fn in (_omega_by_series, omega_exponent, omega2_exponent, omega, omega2):
+        with pytest.raises(error):
+            fn(TAIL, x, y)
+
+
 def test_multiplier_axioms_report():
     rep = check_multiplier_axioms(POLE, -1, 2)
     assert rep["pass"] is True
@@ -138,12 +203,14 @@ def _plant_fault(monkeypatch, m, target):
         c = true_chi(z, w)
         return torus_mul(c, turn) if w == target else c
 
+    true_exponent = multipliers.chi_exponent
+
     def faulty_exponent(z, w):
-        e = multipliers._turn_exponent(true_chi(z, w))
+        e = true_exponent(z, w)
         return (e + 1) % m.s.p if w == target else e
 
     monkeypatch.setattr(multipliers, "chi_char", faulty_chi)
-    monkeypatch.setattr(multipliers, "_chi_exponent", faulty_exponent)
+    monkeypatch.setattr(multipliers, "chi_exponent", faulty_exponent)
     return faulty_exponent
 
 
@@ -215,7 +282,6 @@ def test_in_s_omega_matches_h_omega():
 @given(finite_series(M2, -2, 3))
 def test_h_omega_is_the_omega2_profile(x):
     # chi_{h(x)} reproduces omega2(x, .) against every monomial probe
-    from contracta import chi_char
 
     h = h_omega(TAIL, x)
     for j in range(-4, 4):
@@ -235,7 +301,6 @@ def test_s_omega_window_frozen_members():
 
 
 def test_s_omega_window_agrees_with_literal_double_loop():
-    from contracta import window_elements
 
     members = s_omega_window(TAIL, (-1, 2), (-3, 2))
     brute = {
@@ -256,7 +321,6 @@ def test_s_omega_window_rejects_short_witness_window():
 
 def test_s_omega_members_agree_with_exact_membership():
     members = s_omega_window(TAIL, (-2, 3), (-4, 3))
-    from contracta import window_elements
 
     for x in window_elements(M2, -2, 3):
         assert (x in members) == in_s_omega(TAIL, x)

@@ -20,12 +20,10 @@ from contracta import (
     run_suite,
     series_to_text,
     suite_names,
-    torus_from_fraction,
-    torus_mul,
     window_elements,
     window_id,
 )
-from contracta import cocycles, suites
+from contracta import cocycles, multipliers, suites
 from contracta.errors import InvalidParams, UnknownSuite
 from contracta.sweep import add_table, window_digits
 
@@ -116,10 +114,11 @@ def test_single_config_validates_values():
 
 # ---------------------------------------------------------------- planted faults
 #
-# One wrong value in heis_mul, ext_mul, eta or chi_char must fail the check
-# whose loop forms that value once and reuses it.  The checked count and the
-# first counterexample are the ones the per-pair loops (for chi_char, the
-# whole (x, y, z) table) gave for the same fault.
+# One wrong value in heis_mul, ext_mul, eta, chi_exponent or omega_exponent
+# must fail the check whose loop forms that value once and reuses it.  The
+# checked count and the first counterexample are the ones the per-pair loops
+# (for the character, the whole (x, y, z) table of torus values) gave for the
+# same fault.
 
 def _check_named(rep, name):
     return next(c for c in rep["checks"] if c["name"] == name)
@@ -242,19 +241,57 @@ def test_planted_chi_char_fault_fails_additivity(monkeypatch):
     # additive, and the first (y, z) in that row is the one the whole
     # (x, y, z) table gave
     one = lau_monomial(M3, 0, 1)
-    real = suites.chi_char
+    real = suites.chi_exponent
 
     def faulty(y, x):
-        value = real(y, x)
-        return torus_mul(value, torus_from_fraction(1, 1, 3)) if y == one and x == one else value
+        e = real(y, x)
+        return (e + 1) % 3 if y == one and x == one else e
 
-    monkeypatch.setattr(suites, "chi_char", faulty)
+    monkeypatch.setattr(suites, "chi_exponent", faulty)
     rep = run_suite("duality-iso", {"configs": [[3, 1]]})
     check = _check_named(rep, "additivity-exhaustive")
     assert check["status"] == "fail"
     assert check["checked"] == 81 ** 3
     assert check["counterexample"] == {"x": "1*t^0 @ p=3^1", "y": "1*t^-2 @ p=3^1",
                                        "z": "1*t^0 @ p=3^1"}
+
+
+def test_planted_chi_exponent_fault_fails_shift_dual_identity(monkeypatch):
+    # chi_{t}(1) over F_3 is off by a third of a turn; at k = -1 the right
+    # side reads it for y = x = t, and only the p = 3 config holds t
+    one, t = lau_monomial(M3, 0, 1), lau_monomial(M3, 1, 1)
+    real = suites.chi_exponent
+
+    def faulty(y, x):
+        e = real(y, x)
+        return (e + 1) % 3 if y == t and x == one else e
+
+    monkeypatch.setattr(suites, "chi_exponent", faulty)
+    rep = run_suite("dual-action")
+    assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == ["shift-dual-identity"]
+    check = next(c for c in rep["checks"] if c["status"] == "fail")
+    assert check["config"] == {"p": 3, "n": 1, "window": [-2, 2], "shifts": [-2, 2]}
+    assert check["checked"] == 8776
+    assert check["counterexample"] == {"k": -1, "y": "1*t^1 @ p=3^1", "x": "1*t^1 @ p=3^1"}
+
+
+def test_planted_omega_exponent_fault_fails_radical_ball(monkeypatch):
+    # omega(t, t^-1) is off by half a turn, so t pairs nontrivially with t^-1
+    # in both the window sweep and the monomial probes of h_omega
+    t, t_inv = lau_monomial(M2, 1, 1), lau_monomial(M2, -1, 1)
+    real = multipliers.omega_exponent
+
+    def faulty(m, x, y):
+        e = real(m, x, y)
+        return (e + 1) % 2 if x == t and y == t_inv else e
+
+    monkeypatch.setattr(multipliers, "omega_exponent", faulty)
+    rep = run_suite("s-omega-prop57", {"p": 2, "k0": 1, "S": [1]})
+    check = _check_named(rep, "radical-is-congruence-ball")
+    assert check["status"] == "fail"
+    assert (check["checked"], check["config"]["members"]) == (64, 2)
+    assert check["counterexample"] == {"x": "1*t^1 @ p=2^1", "window_says": False,
+                                       "exact_says": False, "expected": True}
 
 
 def test_planted_lau_add_fault_fails_sampled_additivity(monkeypatch):
