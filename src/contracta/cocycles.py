@@ -161,22 +161,34 @@ def packed_law_verdicts(packed, add_id, p):
     8-byte words.
 
     Each pair's row is viewed as uint64 words, so a gather along the window
-    axes moves one word per pair; the sums mod p run on the byte lanes.
+    axes moves one word per pair.  When 2(p - 1) fits a byte, the sums are
+    formed on the words too: no lane sum exceeds 255, so none carries into
+    the next lane, and each sum is then reduced mod p on its byte lanes.  For
+    p > 128 the sums run on the byte lanes through add_mod's uint16 path.
     """
     import numpy as np
 
     words = packed.view(np.uint64)
-    gx = words[add_id].view(np.uint8)  # [i, i2, j]: eta(x_i + x_i2, x_j)
-    gy = words[:, add_id].view(np.uint8)  # [i, j, j2]: eta(x_i, x_j + x_j2)
+    gx = words[add_id]  # [i, i2, j]: eta(x_i + x_i2, x_j)
+    gy = words[:, add_id]  # [i, j, j2]: eta(x_i, x_j + x_j2)
     buf = np.empty_like(gx)
 
-    def equal(a, b):
-        return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    if 2 * (p - 1) > 255:
+        def add(a, b, out):
+            add_mod(a.view(np.uint8), b.view(np.uint8), p, out.view(np.uint8))
+            return out
+    else:
+        def add(a, b, out):
+            np.add(a, b, out=out)
+            lanes = out.view(np.uint8)
+            # a lane sum s < 2p reduces as min(s, s - p), as in add_mod
+            np.minimum(lanes, lanes - np.uint8(p), out=lanes)
+            return out
 
-    first = equal(gx, add_mod(packed[:, None], packed[None], p, buf))
-    second = equal(gy, add_mod(packed[:, :, None], packed[:, None], p, buf))
+    first = np.array_equal(gx, add(words[:, None], words[None], buf))
+    second = np.array_equal(gy, add(words[:, :, None], words[:, None], buf))
     # the gathers are spent after the additivity checks, so they take the sums
-    identity = equal(add_mod(packed[:, :, None], gx, p, gx), add_mod(gy, packed[None], p, gy))
+    identity = np.array_equal(add(words[:, :, None], gx, gx), add(gy, words[None], gy))
     return first, second, identity
 
 

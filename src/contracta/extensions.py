@@ -11,7 +11,14 @@ cocycle.  The shift map acts diagonally on both slots.
 from dataclasses import dataclass
 
 from .errors import EmptySupport, MixedCocycle, MixedModulus, SchemaError, UnsupportedOperands
-from .cocycles import CocycleSpec, cocycle_from_json, cocycle_to_json, eta
+from .cocycles import (
+    CocycleSpec,
+    check_eta_operands,
+    cocycle_from_json,
+    cocycle_to_json,
+    eta,
+    eta_coeffs,
+)
 from .laurent import (
     LaurentElem,
     lau_add,
@@ -52,10 +59,38 @@ def ext_elem(spec, w_coeffs, x_coeffs):
 
 
 def ext_mul(a, b):
-    if a.spec != b.spec:
+    w, x = ext_mul_coeffs(a, b)
+    m = a.spec.modulus
+    if w is None:
+        w = lau_add(lau_add(a.w, b.w), eta(a.spec, a.x, b.x))
+    else:
+        w = laurent(m, w)
+    return ExtElem(a.spec, w, laurent(m, x))
+
+
+def ext_mul_coeffs(a, b):
+    """The slots of ext_mul(a, b) as coefficient maps (w, x), each
+    {index: value mod p} with zeros dropped, after ext_mul's checks.
+
+    w is None when a or b has a tailed first slot: only a series holds that
+    sum, and ext_mul forms it with lau_add.
+    """
+    spec = a.spec
+    # the suites share one spec between elements, so identity decides most comparisons
+    if b.spec is not spec and b.spec != spec:
         raise MixedCocycle(f"{a.spec} vs {b.spec}")
-    w = lau_add(lau_add(a.w, b.w), eta(a.spec, a.x, b.x))
-    return ExtElem(a.spec, w, lau_add(a.x, b.x))
+    check_eta_operands(spec, a.x, b.x)
+    p = spec.p
+    x = dict(a.x.finite)
+    for i, c in b.x.finite:
+        x[i] = x.get(i, 0) + c
+    x = {i: r for i, v in x.items() if (r := v % p)}
+    if a.w.tail is not None or b.w.tail is not None:
+        return None, x
+    w = eta_coeffs(spec, a.x, b.x)
+    for i, c in a.w.finite + b.w.finite:
+        w[i] = w.get(i, 0) + c
+    return {i: r for i, v in w.items() if (r := v % p)}, x
 
 
 def ext_inv(a):

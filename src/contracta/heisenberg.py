@@ -11,7 +11,7 @@ of the index, and orbits are either points (z = 0) or full affine slices
 from dataclasses import dataclass
 
 from .errors import DepthExceeded, InvariantViolation, MixedShape, SchemaError
-from .duality import chi_char
+from .duality import chi_exponent
 from .laurent import (
     LaurentElem,
     lau_add,
@@ -23,7 +23,7 @@ from .laurent import (
     series_from_json,
     series_to_json,
 )
-from .scalars import torus_mul
+from .scalars import torus_from_fraction
 
 
 @dataclass(frozen=True)
@@ -64,21 +64,44 @@ def _same_shape(g, h):
 
 
 def heis_mul(g, h):
+    xi, ups, z = heis_mul_coeffs(g, h)
+    m = g.modulus
+    return HeisElem(
+        g.dim,
+        tuple(laurent(m, c) for c in xi),
+        tuple(laurent(m, c) for c in ups),
+        laurent(m, z),
+    )
+
+
+def _add_coeffs(a, b):
+    out = dict(a.finite)
+    for i, c in b.finite:
+        out[i] = out.get(i, 0) + c
+    return out
+
+
+def _reduced(coeffs, p):
+    return {i: r for i, v in coeffs.items() if (r := v % p)}
+
+
+def heis_mul_coeffs(g, h):
+    """The coordinates of heis_mul(g, h) as coefficient maps (xi, upsilon, z):
+    tuples of {index: value mod p} maps and one such map, zeros dropped,
+    after heis_mul's shape check."""
     _same_shape(g, h)
+    p = g.p
     # coordinates are finitely supported, so the center g.z + h.z + xi . mu
     # is summed as one coefficient map
-    z = dict(g.z.finite)
-    for i, c in h.z.finite:
-        z[i] = z.get(i, 0) + c
+    z = _add_coeffs(g.z, h.z)
     for a, b in zip(g.xi, h.upsilon):
         for i, c in a.finite:
             for j, d in b.finite:
                 z[i + j] = z.get(i + j, 0) + c * d
-    return HeisElem(
-        g.dim,
-        tuple(lau_add(a, b) for a, b in zip(g.xi, h.xi)),
-        tuple(lau_add(a, b) for a, b in zip(g.upsilon, h.upsilon)),
-        laurent(g.modulus, z),
+    return (
+        tuple(_reduced(_add_coeffs(a, b), p) for a, b in zip(g.xi, h.xi)),
+        tuple(_reduced(_add_coeffs(a, b), p) for a, b in zip(g.upsilon, h.upsilon)),
+        _reduced(z, p),
     )
 
 
@@ -105,14 +128,28 @@ def heis_char(idx, arg):
     idx and arg are (vector, series) pairs: an index (upsilon, z) evaluated
     at (mu, w).
     """
+    m = arg[1].modulus
+    return torus_from_fraction(heis_char_exponent(idx, arg), m.n, m.p)
+
+
+def heis_char_exponent(idx, arg):
+    """The exponent e in [0, p^n) with heis_char(idx, arg) = e^{2 pi i e/p^n}:
+    the sum of the pairings' chi_exponent values mod p^n.
+
+    Every pairing is over the central argument's modulus; coordinates over
+    another one are refused with MixedShape.
+    """
     ups, z = idx
     mu, w = arg
     if len(ups) != len(mu):
         raise MixedShape(f"index has {len(ups)} coordinates, argument {len(mu)}")
-    acc = chi_char(z, w)
+    mod = w.modulus
+    e = chi_exponent(z, w)
     for y, m in zip(ups, mu):
-        acc = torus_mul(acc, chi_char(y, m))
-    return acc
+        e += chi_exponent(y, m)
+        if m.modulus is not mod and m.modulus != mod:
+            raise MixedShape(f"coordinate modulus {m.modulus} differs from {mod}")
+    return e % mod.card
 
 
 def heis_dual_action(xi, idx):

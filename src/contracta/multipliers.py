@@ -45,7 +45,16 @@ from .laurent import (
     series_to_text,
 )
 from .scalars import Modulus, torus_from_fraction, torus_identity, torus_inv, torus_mul
-from .sweep import add_mod, add_table, check_work, window_digits, window_elements, window_id, window_size
+from .sweep import (
+    add_mod,
+    add_table,
+    check_work,
+    coeffs_window_id,
+    window_digits,
+    window_elements,
+    window_id,
+    window_size,
+)
 
 
 @dataclass(frozen=True)
@@ -341,9 +350,15 @@ def mackey_identity_check(m, lo, hi, method="table"):
     dtype = np.min_scalar_type(2 * p)
     e_win = np.array([chi_exponent(m.z, w) for w in slots], dtype=dtype)
     # eta(x1, x2) is supported in [lo + min S, hi - min S), so the w slot of
-    # every product, w1 + w2 + eta, lies in W(lo, hi) as well
-    eta_ids = np.array([window_id(eta(spec, x1, x2), lo, hi) for x1 in slots for x2 in slots],
-                       dtype=np.int64)
+    # every product, w1 + w2 + eta, lies in W(lo, hi) as well.  The ids are
+    # read from eta's coefficient maps (the slots are the spec's own window
+    # elements, so eta's operand checks pass); an id outside the window raises
+    # window_id's error for the eta series
+    def eta_id(x1, x2):
+        code = coeffs_window_id(eta_coeffs(spec, x1, x2), p, lo, hi)
+        return window_id(eta(spec, x1, x2), lo, hi) if code is None else code
+
+    eta_ids = np.array([eta_id(x1, x2) for x1 in slots for x2 in slots], dtype=np.int64)
     digits, powers = window_digits(p, lo, hi)
     add_id = add_table(digits, powers, p)                     # (n_slot, n_slot)
     # rhs[s, e]: exponent of s + e minus exponent of e

@@ -31,16 +31,18 @@ from .extensions import (
     ext_from_json,
     ext_inv,
     ext_mul,
+    ext_mul_coeffs,
     ext_to_json,
     predicted_monomial_commutator,
 )
 from .heisenberg import (
     HeisElem,
-    heis_char,
+    heis_char_exponent,
     heis_dual_action,
     heis_from_json,
     heis_inv,
     heis_mul,
+    heis_mul_coeffs,
     heis_to_json,
     n_slice,
     orbit_description,
@@ -86,8 +88,10 @@ from .scalars import Modulus, gf_rank, torus_from_fraction, torus_inv
 from .sweep import (
     add_mod,
     add_table,
+    check_suite_work,
     check_work,
     closure_table,
+    coeffs_window_id,
     first_nonassociative,
     parallel_map,
     window_digits,
@@ -144,15 +148,15 @@ def _primes(params):
         raise InvalidParams(f"primes must be a list of integers, got {value!r}") from None
 
 
-def _supports(params, jobs_per_support, what):
+def _supports(params, work_per_support, check):
     """Every subset of 1..max_support, by size and then lexicographically.
 
-    Refuses a negative max_support, and a sweep of 2^max_support supports times
-    jobs_per_support whose size exceeds the work limit, before enumerating."""
+    Refuses a negative max_support, and hands check(evaluations) the work of
+    2^max_support supports at work_per_support each before enumerating."""
     top = _count(params, "max_support")
     # listing the supports is work even with no jobs; min() keeps the estimate
     # cheap to form, and 2^64 supports exceed the limit anyway
-    check_work(what, (1 << min(top, 64)) * max(1, jobs_per_support), 0)
+    check((1 << min(top, 64)) * max(1, work_per_support))
     supports = []
     for r in range(top + 1):
         supports.extend(combinations(range(1, top + 1), r))
@@ -509,7 +513,9 @@ def _suite_cocycle_laws(params):
     params = _merge(_COCYCLE_DEFAULTS, params)
     windows = [_window(w) for w in _list(params, "windows")]
     primes = _primes(params)
-    supports = _supports(params, len(primes) * len(windows), "cocycle-laws")
+    # each job is a check_cocycle_laws sweep of two eta evaluations per pair
+    per_support = sum(2 * window_size(p, lo, hi) ** 2 for p in primes for lo, hi in windows)
+    supports = _supports(params, per_support, lambda n: check_suite_work("cocycle-laws", n))
     jobs = [(p, s, w) for p in primes for s in supports for w in windows]
 
     def run(job):
@@ -564,11 +570,22 @@ def _suite_extension_group(params):
             "x_window": [x_lo, x_hi],
             "elements": size,
         }
+        n_x = len(x_slots)
 
-        mul, miss = closure_table(elems, ext_mul, ids)
+        def product_id(a, b, shift=0):
+            # the window id of ext_mul(a, b) over both windows moved up by
+            # shift, read from the product's coefficient maps; the operands
+            # are (shifted) window elements, so both slots are finite maps
+            w, x = ext_mul_coeffs(a, b)
+            i_w = coeffs_window_id(w, mod.card, w_lo + shift, w_hi + shift)
+            i_x = coeffs_window_id(x, mod.card, x_lo + shift, x_hi + shift)
+            return None if i_w is None or i_x is None else i_w * n_x + i_x
+
+        mul, miss = closure_table(elems, product_id)
         closure_cx = None
         if miss:
-            i, j, c = miss
+            i, j = miss
+            c = ext_mul(elems[i], elems[j])
             closure_cx = {"a": elems[i].as_text(), "b": elems[j].as_text(), "ab": c.as_text()}
         checks.append(_check("window-closure", cfg, size * size, closure_cx))
         if closure_cx:
@@ -602,8 +619,10 @@ def _suite_extension_group(params):
             }
         checks.append(_check("associativity", cfg, size ** 3, assoc_cx))
 
-        # alpha(a) depends on a alone, so each element is shifted once, and
-        # alpha(a*b) is the shifted element at the closure table's mul[i, j]
+        # alpha(a) depends on a alone, so each element is shifted once.
+        # alpha(a*b) is the shifted element at the closure table's mul[i, j],
+        # and alpha(a)*alpha(b) equals it exactly when its id over the windows
+        # moved up by one slot is mul[i, j]
         shifted = [ext_alpha(a, 1) for a in elems]
         alpha_cx = None
         for a, a_t in zip(elems, shifted):
@@ -611,10 +630,11 @@ def _suite_extension_group(params):
                 alpha_cx = {"a": a.as_text()}
                 break
         if alpha_cx is None:
-            for i, a in enumerate(elems):
-                for j, b in enumerate(elems):
-                    if shifted[mul[i, j]] != ext_mul(shifted[i], shifted[j]):
-                        alpha_cx = {"a": a.as_text(), "b": b.as_text()}
+            for i, a_t in enumerate(shifted):
+                row = mul[i].tolist()
+                for j, b_t in enumerate(shifted):
+                    if product_id(a_t, b_t, 1) != row[j]:
+                        alpha_cx = {"a": elems[i].as_text(), "b": elems[j].as_text()}
                         break
                 if alpha_cx:
                     break
@@ -653,7 +673,7 @@ def _suite_commutator_formula(params):
     primes = _primes(params)
     # one commutator per (n, k, c, d) with c, d in 1..p-1
     cells = (n_hi - n_lo + 1) * (k_hi - k_lo + 1) * sum((p - 1) ** 2 for p in primes)
-    supports = _supports(params, cells, "commutator-formula")
+    supports = _supports(params, cells, lambda n: check_work("commutator-formula", n, 0))
 
     checks = []
     mono_cx = None
@@ -935,7 +955,19 @@ def _suite_heisenberg(params):
     base = len(coords) ** 3
     cfg = {"p": p, "window": [a_lo, a_hi], "elements": base, "closure_elements": size}
 
-    mul, miss = closure_table(elems, heis_mul, ids)
+    n_c, n_z = len(coords), len(z_ext)
+
+    def product_id(g, h):
+        # the window id of heis_mul(g, h), read from its coefficient maps
+        (xi,), (ups,), z = heis_mul_coeffs(g, h)
+        i_xi = coeffs_window_id(xi, p, a_lo, a_hi)
+        i_ups = coeffs_window_id(ups, p, a_lo, a_hi)
+        i_z = coeffs_window_id(z, p, a_lo, a_hi + 1)
+        if i_xi is None or i_ups is None or i_z is None:
+            return None
+        return (i_xi * n_c + i_ups) * n_z + i_z
+
+    mul, miss = closure_table(elems, product_id)
     closure_cx = {"i": miss[0], "j": miss[1]} if miss else None
     checks.append(_check("mul-closure", cfg, size * size, closure_cx))
     if closure_cx is None:
@@ -995,9 +1027,9 @@ def _suite_heisenberg(params):
             if z.is_zero() and moved != idx:
                 return {"kind": "fixed-point-moved", "xi": series_to_text(xi)}
             for arg, gn_arg, conj_arg in row:
-                lhs = heis_char(idx, gn_arg)
-                rhs = heis_char(moved, arg)
-                conj = heis_char(idx, conj_arg)
+                lhs = heis_char_exponent(idx, gn_arg)
+                rhs = heis_char_exponent(moved, arg)
+                conj = heis_char_exponent(idx, conj_arg)
                 local += 3
                 if lhs != rhs or conj != rhs:
                     (mu,), w = arg

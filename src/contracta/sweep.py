@@ -15,11 +15,14 @@ from .laurent import laurent
 # microseconds apiece on one x86-64 core with Python 3.11: about 0.4 for
 # chi_exponent (0.8 for chi_char, which wraps it in a torus value), 1 to 2
 # for eta_coeffs, eta's coefficient map without the series, and 3 for eta,
-# 2 for omega_exponent and 4 for omega2_exponent (omega2 about 4.5), and 13
-# to 15 for ext_mul and heis_mul, so a sweep at the limit spends 0.05 to
-# 1.5 s in them.  The character and multiplier sweeps fill their tables with
-# the exponent functions, cocycle-laws with eta_coeffs.  Table entries count
-# numpy array elements.  Every default suite spec stays below both.
+# 2 for omega_exponent and 4 for omega2_exponent (omega2 about 4.5), 1.3 for
+# heis_char_exponent, 4 for ext_mul_coeffs and 6 for heis_mul_coeffs, the
+# products' coefficient maps, and 9 to 13 for ext_mul and heis_mul, which
+# build the product's series from them, so a sweep at the limit spends 0.05
+# to 1.3 s in them.  The character and multiplier sweeps fill their tables
+# with the exponent functions, cocycle-laws with eta_coeffs, and the
+# group-law closure tables with the product cores.  Table entries count numpy
+# array elements.  Every default suite spec stays below both.
 _MAX_EVALUATIONS = 100_000
 _MAX_TABLE_ENTRIES = 1 << 24
 # no window this wide fits either limit, whatever p is
@@ -34,12 +37,19 @@ def window_size(card, lo, hi):
     return card ** (hi - lo)
 
 
-def check_work(what, evaluations, entries):
+def check_suite_work(what, evaluations):
+    """Refuse a suite whose sweeps together would take more than ten times
+    one sweep's evaluation limit, before any of them runs.  cocycle-laws at
+    its defaults takes 246 624."""
+    check_work(what, evaluations, 0, 10 * _MAX_EVALUATIONS)
+
+
+def check_work(what, evaluations, entries, max_evaluations=_MAX_EVALUATIONS):
     """Refuse a sweep whose work estimate exceeds the limits, before any of it runs."""
-    if evaluations > _MAX_EVALUATIONS or entries > _MAX_TABLE_ENTRIES:
+    if evaluations > max_evaluations or entries > _MAX_TABLE_ENTRIES:
         raise InvalidParams(
             f"{what} would take {evaluations} evaluations and {entries} table entries; "
-            f"the limits are {_MAX_EVALUATIONS} and {_MAX_TABLE_ENTRIES}"
+            f"the limits are {max_evaluations} and {_MAX_TABLE_ENTRIES}"
         )
 
 
@@ -65,11 +75,21 @@ def window_id(x, lo, hi):
     """Position of a window element in window_elements order."""
     if x.has_tail():
         raise InvalidParams("a tailed series is not a window element")
-    card = x.modulus.card
+    code = coeffs_window_id(x._fdict, x.modulus.card, lo, hi)
+    if code is None:
+        i = next(i for i, _ in x.finite if not lo <= i < hi)
+        raise InvalidParams(f"support index {i} outside window ({lo}, {hi})")
+    return code
+
+
+def coeffs_window_id(coeffs, card, lo, hi):
+    """window_id of the finite series whose coefficient map is coeffs
+    ({index: value in (0, card)}, zeros dropped), or None when an index falls
+    outside [lo, hi)."""
     code = 0
-    for i, c in x.finite:
+    for i, c in coeffs.items():
         if not lo <= i < hi:
-            raise InvalidParams(f"support index {i} outside window ({lo}, {hi})")
+            return None
         code += c * card ** (i - lo)
     return code
 
@@ -94,25 +114,29 @@ def add_table(digits, powers, card):
     return ((digits[:, None, :] + digits[None, :, :]) % card) @ powers
 
 
-def closure_table(elems, product, ids):
-    """The group table mul[i, j] = ids[product(elems[i], elems[j])], in the
-    narrowest unsigned dtype that holds every id, so that the associativity
-    gathers cost a byte per triple on tables of up to 256 elements.
+def closure_table(elems, pair_id):
+    """The group table mul[i, j] = pair_id(elems[i], elems[j]), the window id
+    of the product, in the narrowest unsigned dtype that holds every id, so
+    that the associativity gathers cost a byte per triple on tables of up to
+    256 elements.
 
-    Returns (mul, miss): miss is (i, j, product) for the first pair in row
-    order whose product has no id, with mul filled up to it, or None.
+    pair_id returns None for a product outside the window.  The suites read
+    the id from the law's coefficient maps, one call per pair; the plain
+    form ids.get(product(a, b)) is the reference.  Returns (mul, miss): miss
+    is (i, j) for the first pair in row order whose product has no id, with
+    mul filled up to it, or None.
     """
     import numpy as np
 
     size = len(elems)
     mul = np.zeros((size, size), dtype=np.min_scalar_type(size - 1))
     for i, a in enumerate(elems):
+        row = mul[i]
         for j, b in enumerate(elems):
-            c = product(a, b)
-            got = ids.get(c)
+            got = pair_id(a, b)
             if got is None:
-                return mul, (i, j, c)
-            mul[i, j] = got
+                return mul, (i, j)
+            row[j] = got
     return mul, None
 
 

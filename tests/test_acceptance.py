@@ -47,7 +47,16 @@ COCYCLE_LAURENT_BUILDS = 6000
 # chi_z paired with eta's coefficient map, so no eta series is built per pair;
 # with one eta series per omega call multiplier-axioms built 22 249,
 # s-omega-prop57 95 364 and verdict-thm56 11 962 (262, 35 676 and 4 286 now).
+# The group-law tables read window ids from ext_mul's and heis_mul's
+# coefficient maps, and mackey-identity its eta ids from eta's; with a product
+# element per pair extension-group built 175 252, heisenberg 55 054,
+# commutator-formula (through the cheaper ext_mul) 111 492 and mackey-identity
+# 7 462 (4 740, 5 902, 87 276 and 133 now).
 LAURENT_BUILDS = {
+    "commutator-formula": 110000,
+    "extension-group": 6000,
+    "heisenberg": 7500,
+    "mackey-identity": 1000,
     "multiplier-axioms": 1000,
     "s-omega-prop57": 45000,
     "verdict-thm56": 6000,

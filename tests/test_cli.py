@@ -300,6 +300,7 @@ def test_parse_error_exits_two(capsys):
     ["verify", "duality-iso", "--params", '{"configs":[[2,1000000000000]]}'],
     ["verify", "dual-action", "--params", '{"sample_configs":[[1000003,1]],"samples":1}'],
     ["eval", "per[1]*t^{>=-1000000} @ p=2^1", "--add", "1*t^1000000 @ p=2^1"],
+    ["verify", "cocycle-laws", "--params", '{"max_support":14}'],
 ])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, "--json", *argv)
@@ -307,6 +308,18 @@ def test_bad_input_is_one_error_line(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_cocycle_laws_work_limit_counts_eta_evaluations(capsys):
+    # 2^14 supports are 98 304 jobs, under the limit as jobs, but each job is
+    # a sweep of 2 * size^2 eta evaluations: refused before any of them runs
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "--json", "verify", "cocycle-laws", "--params", '{"max_support":14}')
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: InvalidParams: cocycle-laws would take 252542976 evaluations and 0 table entries; "
+        "the limits are 1000000 and 16777216"]
 
 
 def test_large_prime_literal_returns_quickly(capsys):

@@ -223,13 +223,21 @@ def test_packed_law_verdicts_agree_with_mod_p(p, lo, hi):
         assert packed_law_verdicts(packed, add_id, p) == (True, True, True)
         if p < 100:
             assert not any(mask.any() for mask in law_masks(tab, add_id, p))
-        # one wrong entry leaves no table additive in both slots
-        i, j = rng.integers(0, len(add_id), 2)
-        lane = rng.integers(0, e_width)
-        tab[i, j, lane] = (tab[i, j, lane] + rng.integers(1, p)) % p
-        got = packed_law_verdicts(packed, add_id, p)
-        assert got == tuple(not mask.any() for mask in law_masks(tab, add_id, p))
-        assert got != (True, True, True)
+        # one wrong entry leaves no table additive in both slots; the second
+        # sits in the last lane of a word, where a carry across lanes would show
+        for lane in (rng.integers(0, e_width), min(e_width, 8) - 1):
+            faulty = packed.copy()
+            i, j = rng.integers(0, len(add_id), 2)
+            faulty[i, j, lane] = (faulty[i, j, lane] + rng.integers(1, p)) % p
+            got = packed_law_verdicts(faulty, add_id, p)
+            assert got == tuple(not mask.any() for mask in law_masks(faulty[:, :, :e_width], add_id, p))
+            assert got != (True, True, True)
+        if p == 127:
+            # every lane sums to 2(p - 1) = 252, the most a byte lane holds; a
+            # constant table is additive in neither slot, and the identity
+            # holds since both of its sides are 2(p - 1)
+            packed[:, :, :e_width] = p - 1
+            assert packed_law_verdicts(packed, add_id, p) == (False, False, True)
 
 
 def _plant(monkeypatch, fault):

@@ -1,5 +1,6 @@
 """The central extension twisted by eta: group laws and displayed commutators."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from contracta import (
     ext_elem,
     ext_inv,
     ext_mul,
+    lau_add,
     lau_monomial,
     lau_scale,
     lau_sub,
@@ -21,7 +23,8 @@ from contracta import (
     laurent,
     predicted_monomial_commutator,
 )
-from contracta.extensions import ext_from_json, ext_to_json
+from contracta.errors import MixedCocycle
+from contracta.extensions import ext_from_json, ext_mul_coeffs, ext_to_json
 
 M2 = Modulus(2, 1)
 M3 = Modulus(3, 1)
@@ -59,6 +62,42 @@ def test_mul_accumulates_cocycle():
 @given(elements(SPEC3), elements(SPEC3), elements(SPEC3))
 def test_associativity(a, b, c):
     assert ext_mul(ext_mul(a, b), c) == ext_mul(a, ext_mul(b, c))
+
+
+def tailed_elements(spec, lo=-2, hi=2):
+    """Elements whose first slot carries a periodic tail."""
+    coeffs = st.dictionaries(st.integers(lo, hi - 1), st.integers(0, spec.p - 1), max_size=hi - lo)
+    pattern = st.lists(st.integers(0, spec.p - 1), min_size=1, max_size=3).map(tuple)
+    return st.tuples(coeffs, st.integers(lo, hi), pattern, coeffs).map(
+        lambda t: ExtElem(spec, laurent(spec.modulus, t[0], (t[1], t[2])), laurent(spec.modulus, t[3]))
+    )
+
+
+def _ext_mul_by_series(a, b):
+    """ext_mul composed from lau_add and eta: the reference for its map path."""
+    w = lau_add(lau_add(a.w, b.w), eta(a.spec, a.x, b.x))
+    return ExtElem(a.spec, w, lau_add(a.x, b.x))
+
+
+@pytest.mark.parametrize("spec", [SPEC2, SPEC3, CocycleSpec(3, ())])
+@given(data=st.data())
+def test_ext_mul_matches_series_composition(spec, data):
+    a = data.draw(st.one_of(elements(spec), tailed_elements(spec)))
+    b = data.draw(st.one_of(elements(spec), tailed_elements(spec)))
+    got = ext_mul(a, b)
+    assert got == _ext_mul_by_series(a, b)
+    w, x = ext_mul_coeffs(a, b)
+    assert x == dict(got.x.finite)
+    if a.w.has_tail() or b.w.has_tail():
+        assert w is None
+    else:
+        assert w == dict(got.w.finite)
+
+
+def test_ext_mul_coeffs_runs_ext_mul_checks():
+    a = ext_elem(SPEC2, {}, {0: 1})
+    with pytest.raises(MixedCocycle):
+        ext_mul_coeffs(a, ext_elem(CocycleSpec(2, (2,)), {}, {0: 1}))
 
 
 @given(elements(SPEC2))

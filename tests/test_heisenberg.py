@@ -8,6 +8,7 @@ from contracta import (
     DepthExceeded,
     HeisElem,
     Modulus,
+    chi_char,
     heis_char,
     heis_dual_action,
     heis_inv,
@@ -16,13 +17,15 @@ from contracta import (
     lau_monomial,
     lau_mul,
     lau_sub,
+    lau_add,
     laurent,
     n_slice,
     orbit_description,
+    torus_from_fraction,
     torus_mul,
 )
 from contracta.errors import MixedShape
-from contracta.heisenberg import heis_from_json, heis_to_json
+from contracta.heisenberg import heis_char_exponent, heis_from_json, heis_mul_coeffs, heis_to_json
 
 M2 = Modulus(2, 1)
 M3 = Modulus(3, 1)
@@ -87,6 +90,21 @@ def test_identity_laws(a):
     assert heis_mul(a, heis_inv(a)) == e
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@given(data=st.data())
+def test_mul_matches_series_composition(p, data):
+    # heis_mul's coefficient maps against the same product summed as series
+    g, h = data.draw(heis_elements(p, dim=2)), data.draw(heis_elements(p, dim=2))
+    z = lau_add(g.z, h.z)
+    for a, b in zip(g.xi, h.upsilon):
+        z = lau_add(z, lau_mul(a, b))
+    want = HeisElem(2, tuple(map(lau_add, g.xi, h.xi)), tuple(map(lau_add, g.upsilon, h.upsilon)), z)
+    assert heis_mul(g, h) == want
+    xi, ups, zc = heis_mul_coeffs(g, h)
+    assert (xi, ups, zc) == (tuple(dict(c.finite) for c in want.xi),
+                             tuple(dict(c.finite) for c in want.upsilon), dict(z.finite))
+
+
 def test_mixed_shapes_rejected():
     g = heis_elem(2, [{0: 1}], [{}], {})
     h = heis_elem(3, [{0: 1}], [{}], {})
@@ -142,6 +160,35 @@ def test_char_conjugation_matches_dual_action(g, n_raw):
     moved = heis_dual_action(g.xi, idx)
     rhs = heis_char(moved, n_slice(n))
     assert lhs == rhs
+
+
+def _heis_char_by_torus(idx, arg):
+    """heis_char as a product of chi_char torus values: the reference for its
+    exponent core."""
+    (ups, z), (mu, w) = idx, arg
+    acc = chi_char(z, w)
+    for y, m in zip(ups, mu):
+        acc = torus_mul(acc, chi_char(y, m))
+    return acc
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@given(data=st.data())
+def test_char_exponent_matches_torus_product(p, data):
+    g, n = data.draw(heis_elements(p, dim=2)), data.draw(heis_elements(p, dim=2))
+    idx, arg = n_slice(g), n_slice(n)
+    want = _heis_char_by_torus(idx, arg)
+    e = heis_char_exponent(idx, arg)
+    assert 0 <= e < p
+    assert torus_from_fraction(e, 1, p) == want == heis_char(idx, arg)
+
+
+def test_char_rejects_mixed_coordinates():
+    # each pairing is over one modulus, but not the central pairing's
+    one2, one3 = lau_monomial(M2, 0, 1), lau_monomial(M3, 0, 1)
+    for char in (heis_char, heis_char_exponent):
+        with pytest.raises(MixedShape):
+            char(((one3,), one2), ((one3,), one2))
 
 
 def test_dual_action_hand_value():

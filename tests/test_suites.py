@@ -13,6 +13,8 @@ from contracta import (
     ExtElem,
     HeisElem,
     Modulus,
+    ext_mul,
+    heis_mul,
     lau_add,
     lau_monomial,
     lau_zero,
@@ -114,11 +116,13 @@ def test_single_config_validates_values():
 
 # ---------------------------------------------------------------- planted faults
 #
-# One wrong value in heis_mul, ext_mul, eta, chi_exponent or omega_exponent
-# must fail the check whose loop forms that value once and reuses it.  The
-# checked count and the first counterexample are the ones the per-pair loops
-# (for the character, the whole (x, y, z) table of torus values) gave for the
-# same fault.
+# One wrong value in heis_mul, ext_mul, eta, chi_exponent, omega_exponent or
+# heis_char must fail the check whose loop forms that value once and reuses it.
+# The group-law tables read ext_mul's and heis_mul's coefficient-map cores, so
+# their faults are planted there.  The checked count and the first
+# counterexample are the ones the per-pair loops (for the character, the whole
+# (x, y, z) table of torus values; for the group laws, a table of products
+# looked up by element) gave for the same fault.
 
 def _check_named(rep, name):
     return next(c for c in rep["checks"] if c["name"] == name)
@@ -150,17 +154,16 @@ def test_planted_heis_mul_fault_fails_pullback(monkeypatch):
 
 def test_planted_ext_mul_fault_fails_shift_automorphism(monkeypatch):
     spec = CocycleSpec(2, (1,))
-    zero, one = lau_zero(M2), lau_monomial(M2, 0, 1)
-    a = ExtElem(spec, zero, lau_monomial(M2, -1, 1))
-    real = suites.ext_mul
+    a = ExtElem(spec, lau_zero(M2), lau_monomial(M2, -1, 1))
+    real = suites.ext_mul_coeffs
 
     def faulty(x, y):
         # a*a is (0 | 0); (1 | 0) stays in the window, so the closure table holds it
         if x == a and y == a:
-            return ExtElem(spec, one, zero)
+            return {0: 1}, {}
         return real(x, y)
 
-    monkeypatch.setattr(suites, "ext_mul", faulty)
+    monkeypatch.setattr(suites, "ext_mul_coeffs", faulty)
     rep = run_suite("extension-group", {"configs": [{"p": 2, "support": [1]}]})
     assert _check_named(rep, "window-closure")["status"] == "pass"
     check = _check_named(rep, "shift-automorphism")
@@ -175,13 +178,13 @@ def test_planted_ext_mul_fault_fails_associativity(monkeypatch):
     a = ExtElem(spec, lau_monomial(M2, 0, 1), lau_monomial(M2, 1, 1))
     b = ExtElem(spec, lau_monomial(M2, -1, 1), lau_monomial(M2, 0, 1))
     g = ExtElem(spec, lau_monomial(M2, 1, 1), lau_zero(M2))
-    real = suites.ext_mul
+    real = suites.ext_mul_coeffs
 
     def faulty(x, y):
         # a*b becomes (a*b)*g, another element of the closed window
-        return real(real(x, y), g) if (x, y) == (a, b) else real(x, y)
+        return real(ext_mul(x, y), g) if (x, y) == (a, b) else real(x, y)
 
-    monkeypatch.setattr(suites, "ext_mul", faulty)
+    monkeypatch.setattr(suites, "ext_mul_coeffs", faulty)
     rep = run_suite("extension-group", {"configs": [{"p": 2, "support": [1]}]})
     assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == [
         "associativity", "shift-automorphism"]
@@ -197,12 +200,12 @@ def test_planted_heis_mul_fault_fails_associativity(monkeypatch):
     g = HeisElem(1, (one,), (zero,), zero)
     h = HeisElem(1, (zero,), (one,), zero)
     central = HeisElem(1, (zero,), (zero,), lau_monomial(M2, 1, 1))
-    real = suites.heis_mul
+    real = suites.heis_mul_coeffs
 
     def faulty(x, y):
-        return real(real(x, y), central) if (x, y) == (g, h) else real(x, y)
+        return real(heis_mul(x, y), central) if (x, y) == (g, h) else real(x, y)
 
-    monkeypatch.setattr(suites, "heis_mul", faulty)
+    monkeypatch.setattr(suites, "heis_mul_coeffs", faulty)
     rep = run_suite("heisenberg", {"axioms_window": [0, 1], "pullback_window": [0, 1]})
     assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == ["associativity"]
     check = _check_named(rep, "associativity")
@@ -214,6 +217,29 @@ def test_planted_heis_mul_fault_fails_associativity(monkeypatch):
 
     assert check["counterexample"] == {"g": elem({}, {}, {"0": 1}), "h": elem({"0": 1}, {}, {}),
                                        "k": elem({}, {"0": 1}, {})}
+
+
+def test_planted_heis_char_fault_fails_pullback(monkeypatch):
+    zero, one = lau_zero(M2), lau_monomial(M2, 0, 1)
+    idx, arg = ((zero,), one), ((one,), zero)
+    real = suites.heis_char_exponent
+
+    def faulty(i, a):
+        # chi_idx((1, 0)) is off by half a turn
+        return (real(i, a) + 1) % 2 if (i, a) == (idx, arg) else real(i, a)
+
+    monkeypatch.setattr(suites, "heis_char_exponent", faulty)
+    rep = run_suite("heisenberg", {"axioms_window": [0, 1], "pullback_window": [-1, 1]})
+    assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == ["pullback-and-dual-action"]
+    check = _check_named(rep, "pullback-and-dual-action")
+    # the fault is seen at every index (upsilon, 1) whose orbit passes through
+    # idx, so 12 of the 16 indices pass with 4 * 16 * 3 values each; at idx
+    # itself the first xi moves nothing and the fault cancels
+    assert check["checked"] == 12 * 4 * 16 * 3
+    assert check["counterexample"] == {
+        "kind": "pullback", "upsilon": "0 @ p=2^1", "z": "1*t^0 @ p=2^1",
+        "xi": "1*t^-1 @ p=2^1", "mu": "1*t^0 @ p=2^1", "w": "1*t^-1 @ p=2^1",
+    }
 
 
 def test_planted_eta_fault_fails_shift_equivariance(monkeypatch):
@@ -388,3 +414,27 @@ def test_add_table_matches_semantics():
     for i in range(len(elems)):
         for j in range(len(elems)):
             assert elems[table[i, j]] == lau_add(elems[i], elems[j])
+
+
+def test_id_filled_closure_tables_match_the_products(monkeypatch):
+    # every default config of both closure suites: the table read from the
+    # coefficient-map cores equals the one looked up by product element
+    import numpy as np
+
+    tables = []
+    real = suites.closure_table
+
+    def recording(elems, pair_id):
+        mul, miss = real(elems, pair_id)
+        tables.append((elems, mul, miss))
+        return mul, miss
+
+    monkeypatch.setattr(suites, "closure_table", recording)
+    assert run_suite("extension-group")["pass"] and run_suite("heisenberg")["pass"]
+    assert [len(elems) for elems, _, _ in tables] == [64, 64, 81, 81, 128]
+    for elems, mul, miss in tables:
+        product = ext_mul if isinstance(elems[0], ExtElem) else heis_mul
+        ids = {e: i for i, e in enumerate(elems)}
+        want, want_miss = real(elems, lambda a, b: ids.get(product(a, b)))
+        assert miss is None and want_miss is None
+        assert mul.dtype == want.dtype and np.array_equal(mul, want)
